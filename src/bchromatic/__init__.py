@@ -16,12 +16,11 @@ from .oracles import (FallSpectrum, Formula33, b_chromatic_number,
                       min_maximal_matching_size, one_in_three_sat,
                       three_edge_colouring, tight_b_exact)
 from .patterns import (CoComponentKind, DichotomyVerdict, Verdict, classify_b,
-                       classify_fall, classify_tight, cocomponent_kind,
-                       contains_induced, is_free, is_induced_subgraph_of,
-                       pattern_graph)
+                       classify_fall, classify_tight, contains_induced, is_free,
+                       is_induced_subgraph_of, p3p1_decomposition, pattern_graph)
 from .tight import (PartialBColouring, PartialViolation, dense_partition,
-                    extend_partial, tight_b_2p2p1_free, tight_b_clique_union,
-                    tight_b_p3p1_free, validate_partial)
+                    extend_partial, solve_tight, tight_b_2p2p1_free,
+                    tight_b_clique_union, tight_b_p3p1_free, validate_partial)
 from .fall import FallResult, fall_p3p1_free, fall_uniqueness_report
 from .gadgets import (assignment_to_fall_colouring,
                       cobipartite_hardness_instance, edge3col_instance,

@@ -16,17 +16,16 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .fall import fall_p3p1_free
+from .fall import fall_uniqueness_report
 from .gadgets import family, verify_reduction
 from .graphs import Colouring, Graph, analyze_tight, co_components, is_tight_b_colouring
 from .io import (graph_digest, load_formula, load_graph, write_dimacs)
 from .oracles import (DEFAULT_FALL_BUDGET, DEFAULT_NP_BUDGET, BudgetExceededError,
-                      b_chromatic_number, chromatic_number, fall_spectrum,
-                      min_maximal_matching_size, one_in_three_sat,
+                      NotTightError, b_chromatic_number, chromatic_number,
+                      fall_spectrum, min_maximal_matching_size, one_in_three_sat,
                       three_edge_colouring, tight_b_exact)
-from .patterns import (classify_b, classify_fall, classify_tight,
-                       contains_induced, is_free, pattern_graph)
-from .tight import tight_b_2p2p1_free, tight_b_p3p1_free
+from .patterns import classify_b, classify_fall, classify_tight, contains_induced, pattern_graph
+from .tight import solve_tight
 
 EXIT_OK, EXIT_NO, EXIT_INCONCLUSIVE, EXIT_ERROR = 0, 1, 2, 3
 
@@ -76,43 +75,26 @@ def cmd_analyze(args) -> int:
 
 def cmd_tightb(args) -> int:
     g = load_graph(args.path)
-    info = analyze_tight(g)
     rep = _report("tightb", args.path, g)
-    if not info.is_tight:
-        rep.update({"status": "error", "error": "input graph is not tight",
+    t0 = time.perf_counter()
+    try:
+        res = solve_tight(g, node_budget=args.budget, force_oracle=args.force_oracle)
+    except NotTightError as exc:
+        info = analyze_tight(g)
+        rep.update({"status": "error", "error": str(exc),
                     "m_degree": info.m, "dense": sorted(info.dense)})
         _emit(rep, args.out)
         return EXIT_ERROR
-    t0 = time.perf_counter()
-    nodes = None
-    if args.force_oracle:
-        path_taken = "oracle"
-        res = tight_b_exact(g, node_budget=args.budget)
-        colouring, status = res.colouring, res.status
-        nodes = res.nodes
-    elif is_free(g, "2P2+P1"):
-        path_taken = "(2P2+P1)-free"
-        colouring = tight_b_2p2p1_free(g)
-        status = "found" if colouring else "absent"
-    elif is_free(g, "P3+P1"):
-        path_taken = "(P3+P1)-free"
-        colouring = tight_b_p3p1_free(g)
-        status = "found" if colouring else "absent"
-    else:
-        path_taken = "oracle"
-        res = tight_b_exact(g, node_budget=args.budget)
-        colouring, status = res.colouring, res.status
-        nodes = res.nodes
     rep.update({
-        "path": path_taken,
-        "m_degree": info.m,
+        "path": res.path,
+        "m_degree": res.m,
         "timing_ms": round(1000 * (time.perf_counter() - t0), 3),
-        "nodes": nodes,
-        "witness": _witness(colouring),
-        "status": {"found": "ok", "absent": "no", "inconclusive": "inconclusive"}[status],
+        "nodes": res.nodes,
+        "witness": _witness(res.colouring),
+        "status": {"found": "ok", "absent": "no", "inconclusive": "inconclusive"}[res.status],
     })
-    if colouring is not None:
-        assert is_tight_b_colouring(g, colouring)
+    if res.colouring is not None and not is_tight_b_colouring(g, res.colouring):
+        raise ValueError(f"the {res.path} path returned an invalid tight b-colouring")
     _emit(rep, args.out)
     return {"ok": EXIT_OK, "no": EXIT_NO, "inconclusive": EXIT_INCONCLUSIVE}[rep["status"]]
 
@@ -121,20 +103,17 @@ def cmd_fall(args) -> int:
     g = load_graph(args.path)
     rep = _report("fall", args.path, g)
     t0 = time.perf_counter()
-    if not args.force_oracle and is_free(g, "P3+P1"):
-        rep["path"] = "(P3+P1)-free"
-        spectrum = fall_p3p1_free(g).spectrum
-    else:
-        rep["path"] = "oracle"
-        spectrum = fall_spectrum(g, budget=_budget(DEFAULT_FALL_BUDGET))
-    values = list(spectrum.values)
+    res = fall_uniqueness_report(g, budget=_budget(DEFAULT_FALL_BUDGET),
+                                 force_oracle=args.force_oracle)
+    values = list(res.spectrum.values)
     rep.update({
+        "path": res.path,
         "status": "ok" if values else "no",
         "spectrum": values,
         "fall_chromatic": values[0] if values else 0,
         "fall_achromatic": values[-1] if values else 0,
-        "fall_unique": len(values) == 1,
-        "witnesses": {str(k): _witness(c) for k, c in sorted(spectrum.witnesses.items())},
+        "fall_unique": res.fall_unique,
+        "witnesses": {str(k): _witness(c) for k, c in sorted(res.spectrum.witnesses.items())},
         "timing_ms": round(1000 * (time.perf_counter() - t0), 3),
     })
     _emit(rep, args.out)
@@ -330,10 +309,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except BudgetExceededError as exc:
-        _emit({"schema": 1, "status": "error", "error": str(exc)}, getattr(args, "out", None))
+    except BrokenPipeError:
+        # The reader has gone: write nothing more, not even the error report.
+        sys.stdout = open(os.devnull, "w")
         return EXIT_ERROR
-    except (ValueError, OSError) as exc:
+    except (BudgetExceededError, ValueError, OSError) as exc:
         _emit({"schema": 1, "status": "error", "error": str(exc)}, getattr(args, "out", None))
         return EXIT_ERROR
 

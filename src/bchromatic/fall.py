@@ -13,17 +13,18 @@ the problem splits:
 
 Either way the spectrum of the co-component, and hence of the whole graph,
 is a singleton or empty: graphs in this class are fall-unique whenever they
-have a fall colouring at all.
+have a fall colouring at all.  ``fall_uniqueness_report`` is the one place
+that chooses between this solver and the exact oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Colouring, Graph, bits, co_components
+from .graphs import Colouring, Graph, bits
 from .matching import perfect_matching
-from .oracles import FallSpectrum, fall_spectrum
-from .patterns import CoComponentKind, cocomponent_kind, is_free
+from .oracles import DEFAULT_FALL_BUDGET, FallSpectrum, fall_spectrum
+from .patterns import CoComponentKind, p3p1_decomposition
 from .tight import PreconditionError
 
 
@@ -57,19 +58,20 @@ def fall_p3p1_free(g: Graph) -> FallResult:
     as singletons, matched pairs as two-vertex classes, cliques coloured
     rainbow, with disjoint colour ranges across co-components.
     """
-    if not is_free(g, "P3+P1"):
+    parts = p3p1_decomposition(g)
+    if parts is None:
         raise PreconditionError("input graph is not (P3+P1)-free")
-    if g.n == 0:
-        return FallResult(FallSpectrum(()), None, ())
+    return _fall_p3p1(g, parts)
 
+
+def _fall_p3p1(g: Graph, parts) -> FallResult:
     breakdown: list[ComponentBreakdown] = []
     colour = [0] * g.n
     offset = 0
     feasible = True
 
-    for vs in co_components(g):
+    for vs, kind in parts:
         sub = g.subgraph(vs)
-        kind = cocomponent_kind(sub)
         if kind is CoComponentKind.THREE_P1_FREE:
             dom = _dominating_vertices(sub)
             keep = [i for i in range(sub.n) if i not in set(dom)]
@@ -97,7 +99,7 @@ def fall_p3p1_free(g: Graph) -> FallResult:
                 colour[vs[a]] = c
                 colour[vs[b]] = c
             offset = c
-        elif kind is CoComponentKind.CLIQUE_UNION:
+        else:
             comps = sub.component_masks()
             sizes = sorted({m.bit_count() for m in comps})
             ok = len(sizes) == 1
@@ -110,10 +112,8 @@ def fall_p3p1_free(g: Graph) -> FallResult:
                 for c, i in enumerate(bits(mask), start=1):
                     colour[vs[i]] = offset + c
             offset += p
-        else:
-            raise PreconditionError("co-component is neither 3P1-free nor a union of cliques")
 
-    if not feasible:
+    if not feasible or g.n == 0:  # the empty graph has no fall colouring
         return FallResult(FallSpectrum(()), None, tuple(breakdown))
     witness = Colouring.from_values(colour)
     return FallResult(FallSpectrum((offset,), {offset: witness}), witness, tuple(breakdown))
@@ -123,15 +123,17 @@ def fall_p3p1_free(g: Graph) -> FallResult:
 class FallUniqueness:
     fall_unique: bool
     spectrum: FallSpectrum
+    path: str  # "(P3+P1)-free" | "oracle"
 
 
-def fall_uniqueness_report(g: Graph, *, budget: int | None = None) -> FallUniqueness:
-    """Spectrum via the polynomial path when (P3+P1)-free, else the oracle;
-    flags graphs whose spectrum is a single value."""
-    if is_free(g, "P3+P1"):
-        spectrum = fall_p3p1_free(g).spectrum
-    elif budget is None:
-        spectrum = fall_spectrum(g)
+def fall_uniqueness_report(g: Graph, *, budget: int = DEFAULT_FALL_BUDGET,
+                           force_oracle: bool = False) -> FallUniqueness:
+    """Fall spectrum by class: the polynomial solver when the co-component
+    decomposition shows ``g`` is (P3+P1)-free, else the oracle within the
+    vertex ``budget``.  Flags graphs whose spectrum is a single value."""
+    parts = None if force_oracle else p3p1_decomposition(g)
+    if parts is not None:
+        path, spectrum = "(P3+P1)-free", _fall_p3p1(g, parts).spectrum
     else:
-        spectrum = fall_spectrum(g, budget=budget)
-    return FallUniqueness(len(spectrum.values) == 1, spectrum)
+        path, spectrum = "oracle", fall_spectrum(g, budget=budget)
+    return FallUniqueness(len(spectrum.values) == 1, spectrum, path)

@@ -95,10 +95,10 @@ def maximal_cliques(g: Graph) -> list[int]:
 
 def maximal_independent_sets(g: Graph) -> list[int]:
     """All maximal independent sets; each is also an independent dominating
-    set, which is asserted during enumeration."""
+    set, which is checked during enumeration."""
     sets = maximal_cliques(g.complement())
-    for m in sets:
-        assert is_maximal_independent_set(g, m)
+    if not all(is_maximal_independent_set(g, m) for m in sets):
+        raise AssertionError("an enumerated set is not a maximal independent set")
     return sets
 
 

@@ -202,19 +202,30 @@ def is_complete_multipartite(g: Graph) -> bool:
 class CoComponentKind(Enum):
     THREE_P1_FREE = "3P1-free"
     CLIQUE_UNION = "clique-union"
-    NEITHER = "neither"
 
 
-def cocomponent_kind(g: Graph) -> CoComponentKind:
-    """Classify one co-component per the paw-free decomposition of its
-    complement: either it has no independent triple, or it is a disjoint
-    union of complete graphs; anything else means the host graph was not
-    (P3+P1)-free."""
-    if is_free(g, "3P1"):
-        return CoComponentKind.THREE_P1_FREE
-    if is_union_of_cliques(g):
-        return CoComponentKind.CLIQUE_UNION
-    return CoComponentKind.NEITHER
+def p3p1_decomposition(g: Graph) -> list[tuple[tuple[int, ...], CoComponentKind]] | None:
+    """The co-components of ``g`` in ``co_components`` order, each with its
+    kind, or None exactly when ``g`` has an induced P3+P1.
+
+    The complement of P3+P1 is the paw, and a graph is paw-free iff each of
+    its components is triangle-free or complete multipartite (Olariu 1988).
+    Read in ``g``: each co-component has no independent triple, or is a
+    disjoint union of complete graphs.  The first kind wins when both hold.
+    """
+    co = g.complement()
+    parts = []
+    for comp in co.component_masks():
+        # an independent triple of g is a triangle of its complement; a union
+        # of cliques has no induced P3, so every neighbourhood is a clique
+        if not any(co.adj[u] & co.adj[v] for u in bits(comp) for v in bits(co.adj[u]) if v > u):
+            kind = CoComponentKind.THREE_P1_FREE
+        elif all(is_clique_mask(g, g.adj[v] & comp) for v in bits(comp)):
+            kind = CoComponentKind.CLIQUE_UNION
+        else:
+            return None
+        parts.append((tuple(bits(comp)), kind))
+    return parts
 
 
 # -- dichotomy classifiers ----------------------------------------------------

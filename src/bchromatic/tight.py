@@ -25,7 +25,8 @@ On top of the extension test sit the two polynomial solvers: the
 (2P2+P1)-free algorithm, which forces boundary colours through the T(u,s)
 completeness rule, and the (P3+P1)-free algorithm, which decomposes into
 co-components and solves each one as either a (2P2+P1)-free graph or a
-disjoint union of cliques.
+disjoint union of cliques.  ``solve_tight`` is the one place that chooses
+between them and the exact oracle.
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import (Colouring, Graph, GraphError, TightAnalysis,
-                     analyze_tight, bits, co_components)
+                     analyze_tight, bits)
 from .matching import max_bipartite_matching
-from .oracles import NotTightError
-from .patterns import CoComponentKind, cocomponent_kind, is_free
+from .oracles import DEFAULT_NODE_BUDGET, NotTightError, tight_b_exact
+from .patterns import CoComponentKind, is_free, is_union_of_cliques, p3p1_decomposition
 
 
 class PreconditionError(GraphError):
@@ -238,18 +239,26 @@ def boundary_forcings(g: Graph, info: TightAnalysis) -> dict[int, int] | None:
     return forced
 
 
+def _require_tight(g: Graph, error: type[GraphError] = PreconditionError) -> TightAnalysis:
+    info = analyze_tight(g)
+    if not info.is_tight:
+        raise error("input graph is not tight")
+    return info
+
+
 def tight_b_2p2p1_free(g: Graph) -> Colouring | None:
     """Tight b-colouring of a tight (2P2+P1)-free graph, or None.
 
     Colour T by 1..m, force boundary colours via the completeness rule,
     validate the resulting partial colouring, then run the extension test.
     """
-    info = analyze_tight(g)
-    if not info.is_tight:
-        raise PreconditionError("input graph is not tight")
+    info = _require_tight(g)
     if not is_free(g, "2P2+P1"):
         raise PreconditionError("input graph is not (2P2+P1)-free")
+    return _tight_2p2p1(g, info)
 
+
+def _tight_2p2p1(g: Graph, info: TightAnalysis) -> Colouring | None:
     forced = boundary_forcings(g, info)
     if forced is None:
         return None
@@ -271,21 +280,16 @@ def tight_b_clique_union(g: Graph) -> Colouring | None:
     and reusing colours 1.. inside the smaller cliques keeps every class
     b-chromatic through the large clique.
     """
-    info = analyze_tight(g)
-    if not info.is_tight:
-        raise PreconditionError("input graph is not tight")
+    info = _require_tight(g)
+    if not is_union_of_cliques(g):
+        raise PreconditionError("a component is not a complete graph")
     comps = g.component_masks()
-    for mask in comps:
-        for v in bits(mask):
-            if g.adj[v] != mask & ~(1 << v):
-                raise PreconditionError("a component is not a complete graph")
-    m = info.m
     colour = [0] * g.n
     for mask in comps:
         for c, v in enumerate(bits(mask), start=1):
             colour[v] = c
-    top = max(comps, key=lambda mask: mask.bit_count())
-    assert top.bit_count() == m
+    if max(mask.bit_count() for mask in comps) != info.m:
+        raise AssertionError("the largest clique of a tight clique union has m vertices")
     return Colouring.from_values(colour)
 
 
@@ -298,15 +302,16 @@ def tight_b_p3p1_free(g: Graph) -> Colouring | None:
     refutes the colouring.  Otherwise every G_i is itself tight and the
     answers combine with disjoint colour ranges.
     """
-    info = analyze_tight(g)
-    if not info.is_tight:
-        raise PreconditionError("input graph is not tight")
-    if not is_free(g, "P3+P1"):
+    info = _require_tight(g)
+    parts = p3p1_decomposition(g)
+    if parts is None:
         raise PreconditionError("input graph is not (P3+P1)-free")
+    return _tight_p3p1(g, info, parts)
 
-    parts = co_components(g)
-    subs = [(vs, g.subgraph(vs)) for vs in parts]
-    for vs, sub in subs:
+
+def _tight_p3p1(g: Graph, info: TightAnalysis, parts) -> Colouring | None:
+    subs = [(vs, kind, g.subgraph(vs)) for vs, kind in parts]
+    for vs, _, sub in subs:
         t_i = [v for v in vs if v in info.dense]
         p_i = sub.max_degree()
         if len(t_i) < p_i + 1:
@@ -316,19 +321,49 @@ def tight_b_p3p1_free(g: Graph) -> Colouring | None:
 
     colour = [0] * g.n
     offset = 0
-    for vs, sub in subs:
-        kind = cocomponent_kind(sub)
+    for vs, kind, sub in subs:
         if kind is CoComponentKind.THREE_P1_FREE:
             # no independent triple: in particular (2P2+P1)-free
-            local = tight_b_2p2p1_free(sub)
-        elif kind is CoComponentKind.CLIQUE_UNION:
-            local = tight_b_clique_union(sub)
+            local = _tight_2p2p1(sub, _require_tight(sub))
         else:
-            raise PreconditionError("co-component is neither 3P1-free nor a union of cliques")
+            local = tight_b_clique_union(sub)
         if local is None:
             return None
         for idx, v in enumerate(vs):
             colour[v] = local.colours[idx] + offset
         offset += local.k
-    assert offset == info.m
+    if offset != info.m:
+        raise AssertionError("the co-components' colour counts add up to m")
     return Colouring.from_values(colour)
+
+
+# -- dispatch --------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TightSolve:
+    path: str  # "(2P2+P1)-free" | "(P3+P1)-free" | "oracle"
+    status: str  # "found" | "absent" | "inconclusive"
+    colouring: Colouring | None
+    m: int
+    nodes: int | None  # oracle search nodes; None on the polynomial paths
+
+
+def solve_tight(g: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET,
+                force_oracle: bool = False) -> TightSolve:
+    """Tight b-colouring by class: the (2P2+P1)-free solver, else the
+    (P3+P1)-free solver, else the exact oracle within ``node_budget``.
+
+    Each class is recognised once: one induced 2P2+P1 search, then the
+    co-component decomposition that the (P3+P1)-free solver runs on.
+    Raises NotTightError when ``g`` is not tight.
+    """
+    info = _require_tight(g, NotTightError)
+    if not force_oracle and is_free(g, "2P2+P1"):
+        path, c = "(2P2+P1)-free", _tight_2p2p1(g, info)
+    elif not force_oracle and (parts := p3p1_decomposition(g)) is not None:
+        path, c = "(P3+P1)-free", _tight_p3p1(g, info, parts)
+    else:
+        res = tight_b_exact(g, node_budget=node_budget)
+        return TightSolve("oracle", res.status, res.colouring, info.m, res.nodes)
+    return TightSolve(path, "absent" if c is None else "found", c, info.m, None)

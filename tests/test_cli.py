@@ -168,3 +168,58 @@ def test_oracle_budget_env(files, capsys, monkeypatch):
     monkeypatch.setenv("ORACLE_BUDGET", "25")
     code, rep = run(capsys, "oracle", "chromatic", str(path))
     assert code == 0 and rep["value"] == 1
+
+
+@pytest.mark.parametrize("argv", [["show", "cycle", "50"], ["analyze", "{c3}"]])
+def test_broken_pipe_writes_nothing_more(files, monkeypatch, argv):
+    import sys
+
+    class ClosedPipe:
+        def __init__(self):
+            self.writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            raise BrokenPipeError(32, "Broken pipe")
+
+    pipe = ClosedPipe()
+    monkeypatch.setattr(sys, "stdout", pipe)
+    code = main([a.replace("{c3}", files["c3"]) for a in argv])
+    replaced = sys.stdout
+    replaced.close()
+    assert code == 3 and pipe.writes == 1 and replaced is not pipe
+
+
+@pytest.mark.parametrize("name, g, command, calls, path", [
+    ("foot", footnote_graph(), "tightb", 1, "(2P2+P1)-free"),
+    # tight clique union with an induced 2P2+P1 across three of its K2s
+    ("k4-3k2", pattern_graph("K4+3P2"), "tightb", 1, "(P3+P1)-free"),
+    ("paw", pattern_graph("paw"), "fall", 0, "(P3+P1)-free"),
+])
+def test_class_recognised_once(files, capsys, monkeypatch, name, g, command, calls, path):
+    import bchromatic.patterns
+    counted = []
+    search = bchromatic.patterns.contains_induced
+
+    def counting(*args):
+        counted.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(bchromatic.patterns, "contains_induced", counting)
+    src = files["dir"] / f"{name}.col"
+    src.write_text(write_dimacs(g))
+    code, rep = run(capsys, command, str(src))
+    assert code in (0, 1) and rep["path"] == path
+    assert len(counted) == calls
+
+
+def test_no_assert_statements_in_package():
+    """``python -O`` strips ``assert``, so runtime checks must raise."""
+    import ast
+    from pathlib import Path
+
+    import bchromatic
+    for path in sorted(Path(bchromatic.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+        assert not lines, f"{path.name}: assert at lines {lines}"

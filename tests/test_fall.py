@@ -99,13 +99,15 @@ def test_agreement_with_oracle_random():
 
 def test_fall_uniqueness_report():
     rep = fall_uniqueness_report(pattern_graph("C3"))
-    assert rep.fall_unique and rep.spectrum.values == (3,)
+    assert rep.fall_unique and rep.spectrum.values == (3,) and rep.path == "(P3+P1)-free"
+    rep = fall_uniqueness_report(pattern_graph("C3"), force_oracle=True)
+    assert rep.fall_unique and rep.spectrum.values == (3,) and rep.path == "oracle"
     rep = fall_uniqueness_report(pattern_graph("paw"))
     assert not rep.fall_unique and rep.spectrum.values == ()
     # K_{4,4} minus a perfect matching: out of class, handled by the oracle;
     # the matched-pairs colouring shows 4 is always achievable
     rep = fall_uniqueness_report(crown_graph(4))
-    assert 4 in rep.spectrum.values
+    assert 4 in rep.spectrum.values and rep.path == "oracle"
     # and the bipartition gives 2
     assert rep.spectrum.values[0] == 2
 

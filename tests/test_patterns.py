@@ -5,14 +5,15 @@ import random
 import pytest
 
 from bchromatic.graphs import Graph
+from bchromatic.graphs import co_components
 from bchromatic.patterns import (CoComponentKind, PatternError, Verdict,
                                  classify_b, classify_fall, classify_tight,
-                                 cocomponent_kind, contains_induced,
-                                 is_complete_multipartite, is_free,
-                                 is_induced_subgraph_of, is_linear_forest,
-                                 pattern_graph)
+                                 contains_induced, is_complete_multipartite,
+                                 is_free, is_induced_subgraph_of,
+                                 is_linear_forest, is_union_of_cliques,
+                                 p3p1_decomposition, pattern_graph)
 
-from helpers import all_graphs, naive_contains_induced, random_graph
+from helpers import all_graphs, all_graphs_up_to, naive_contains_induced, random_graph
 
 
 def test_pattern_expansion():
@@ -68,17 +69,39 @@ def test_is_induced_subgraph_of():
 
 def test_cocomponent_kind():
     from bchromatic.graphs import disjoint_union
+
+    def kind(g):
+        # every input here is co-connected, so it is its own only part
+        (part, k), = p3p1_decomposition(g)
+        assert part == tuple(range(g.n))
+        return k
+
     # two triangles still have independence number 2, so the 3P1-free branch
     # takes precedence; three triangles genuinely need the clique-union branch
     k3k3 = disjoint_union(pattern_graph("K3"), pattern_graph("K3"))
-    assert cocomponent_kind(k3k3) is CoComponentKind.THREE_P1_FREE
-    assert cocomponent_kind(pattern_graph("3K3")) is CoComponentKind.CLIQUE_UNION
-    assert cocomponent_kind(pattern_graph("3P2")) is CoComponentKind.CLIQUE_UNION
-    assert cocomponent_kind(pattern_graph("K2+K4")) is CoComponentKind.THREE_P1_FREE
+    assert kind(k3k3) is CoComponentKind.THREE_P1_FREE
+    assert kind(pattern_graph("3K3")) is CoComponentKind.CLIQUE_UNION
+    assert kind(pattern_graph("3P2")) is CoComponentKind.CLIQUE_UNION
+    assert kind(pattern_graph("K2+K4")) is CoComponentKind.THREE_P1_FREE
     # C5 and P4 both have independence number 2, hence no induced 3P1
-    assert cocomponent_kind(pattern_graph("C5")) is CoComponentKind.THREE_P1_FREE
-    assert cocomponent_kind(pattern_graph("P4")) is CoComponentKind.THREE_P1_FREE
-    assert cocomponent_kind(pattern_graph("C6")) is CoComponentKind.NEITHER
+    assert kind(pattern_graph("C5")) is CoComponentKind.THREE_P1_FREE
+    assert kind(pattern_graph("P4")) is CoComponentKind.THREE_P1_FREE
+    # C6 has an induced P3+P1
+    assert p3p1_decomposition(pattern_graph("C6")) is None
+
+
+def test_p3p1_decomposition_matches_generic_search():
+    for g in all_graphs_up_to(6):
+        parts = p3p1_decomposition(g)
+        assert (parts is None) == (not is_free(g, "P3+P1")), g.adj
+        if parts is None:
+            continue
+        assert [vs for vs, _ in parts] == co_components(g)
+        for vs, kind in parts:
+            sub = g.subgraph(vs)
+            want = (CoComponentKind.THREE_P1_FREE if is_free(sub, "3P1")
+                    else CoComponentKind.CLIQUE_UNION if is_union_of_cliques(sub) else None)
+            assert kind is want, g.adj
 
 
 def test_paw_free_decomposition_cross_check():
