@@ -22,8 +22,7 @@ from .tight import (PartialBColouring, PartialViolation, dense_partition,
                     extend_partial, solve_tight, tight_b_2p2p1_free,
                     tight_b_clique_union, tight_b_p3p1_free, validate_partial)
 from .fall import FallResult, fall_p3p1_free, fall_uniqueness_report
-from .gadgets import (assignment_to_fall_colouring,
+from .gadgets import (EDGE3COL_VARIANTS, assignment_to_fall_colouring,
                       cobipartite_hardness_instance, edge3col_instance,
-                      edge3col_2p3_free_instance, edge3col_3p2_free_instance,
                       edge_colouring_to_tight_bcolouring, fall_gadget_union,
                       family, one_in_three_graph, verify_reduction)

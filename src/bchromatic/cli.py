@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .fall import fall_uniqueness_report
-from .gadgets import family, verify_reduction
+from .gadgets import REDUCTIONS, ReductionCertificate, family, verify_reduction
 from .graphs import Colouring, Graph, analyze_tight, co_components, is_tight_b_colouring
 from .io import (graph_digest, load_formula, load_graph, write_dimacs)
 from .oracles import (DEFAULT_FALL_BUDGET, DEFAULT_NP_BUDGET, BudgetExceededError,
@@ -185,47 +185,42 @@ def cmd_oracle(args) -> int:
     return {"ok": EXIT_OK, "no": EXIT_NO, "inconclusive": EXIT_INCONCLUSIVE}[status]
 
 
-_GADGET_KINDS = ("cobipartite", "edge3col", "edge3col-3p2", "edge3col-2p3", "one-in-three")
-
-
-def _load_reduction_source(kind: str, path: str):
-    return load_formula(path) if kind == "one-in-three" else load_graph(path)
+def _reduction(args, **kw) -> tuple[ReductionCertificate, dict]:
+    """The certificate of ``args.kind`` on the source at ``args.path``, and
+    the report fields that ``gadget`` and ``verify`` share."""
+    load, _ = REDUCTIONS[args.kind]
+    cert = verify_reduction(args.kind, load(args.path), **kw)
+    rep = {"schema": 1, "command": f"{args.cmd} {args.kind}", "input": args.path,
+           "digest": graph_digest(cert.instance),
+           "structural_checks": dict(cert.structural_checks),
+           "forward": cert.forward_note, "forward_witness": _witness(cert.forward_witness)}
+    return cert, rep
 
 
 def cmd_gadget(args) -> int:
-    source = _load_reduction_source(args.kind, args.path)
-    cert = verify_reduction(args.kind, source, backward=False)
+    cert, rep = _reduction(args, backward=False)
     out_prefix = args.out_prefix or "gadget"
     col_path = Path(f"{out_prefix}.col")
     col_path.write_text(write_dimacs(cert.instance))
-    rep = {
-        "schema": 1, "command": f"gadget {args.kind}", "input": args.path,
+    rep.update({
         "status": "ok" if cert.structurally_sound() else "error",
-        "instance": str(col_path), "digest": graph_digest(cert.instance),
-        "n": cert.instance.n, "edges": cert.instance.edge_count(),
-        "structural_checks": {name: ok for name, ok in cert.structural_checks},
-        "forward": cert.forward_note, "forward_witness": _witness(cert.forward_witness),
-    }
+        "instance": str(col_path), "n": cert.instance.n, "edges": cert.instance.edge_count(),
+    })
     Path(f"{out_prefix}.json").write_text(json.dumps(rep, indent=2, sort_keys=True) + "\n")
     _emit(rep, None)
     return EXIT_OK if rep["status"] == "ok" else EXIT_ERROR
 
 
 def cmd_verify(args) -> int:
-    source = _load_reduction_source(args.kind, args.path)
-    cert = verify_reduction(args.kind, source, node_budget=args.budget)
-    rep = {
-        "schema": 1, "command": f"verify {args.kind}", "input": args.path,
-        "digest": graph_digest(cert.instance),
-        "structural_checks": {name: ok for name, ok in cert.structural_checks},
-        "forward": cert.forward_note, "backward": cert.backward_note,
-        "forward_witness": _witness(cert.forward_witness),
+    cert, rep = _reduction(args, node_budget=args.budget)
+    rep.update({
+        "backward": cert.backward_note,
         "measurements": cert.measurements,
         "equivalence": cert.equivalence_status,
         "inconsistent": cert.inconsistent,
         "status": "error" if (cert.inconsistent or not cert.structurally_sound())
                   else ("inconclusive" if cert.equivalence_status == "inconclusive" else "ok"),
-    }
+    })
     _emit(rep, args.out)
     return {"ok": EXIT_OK, "inconclusive": EXIT_INCONCLUSIVE, "error": EXIT_ERROR}[rep["status"]]
 
@@ -284,14 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_oracle)
 
     sp = sub.add_parser("gadget", help="emit a hardness instance as DIMACS plus a JSON certificate")
-    sp.add_argument("kind", choices=_GADGET_KINDS)
+    sp.add_argument("kind", choices=tuple(REDUCTIONS))
     sp.add_argument("path")
     sp.add_argument("--out", dest="out_prefix",
                     help="output prefix (writes PREFIX.col and PREFIX.json)")
     sp.set_defaults(fn=cmd_gadget)
 
     sp = sub.add_parser("verify", help="re-run structural checks and both oracle directions")
-    sp.add_argument("kind", choices=_GADGET_KINDS)
+    sp.add_argument("kind", choices=tuple(REDUCTIONS))
     sp.add_argument("path")
     sp.add_argument("--budget", type=int, default=10**7, help="backward-solve node budget")
     common(sp)

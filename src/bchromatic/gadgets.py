@@ -9,13 +9,15 @@ Three families are covered:
   minimum maximal matchings of the input.
 * ``edge3col`` (with ``-3p2`` and ``-2p3`` variants): encode 3-edge-
   colourability of a cubic graph into the existence of a tight b-colouring.
-  The base instance is a split graph (input clique plus edge vertices)
-  together with three stars; the variants rewire the periphery so the output
-  is 3P2-free, respectively 2P3-free, while keeping the instance tight.
+  One builder: a split graph (input clique plus edge vertices) with three
+  stars; the variants rewire the periphery so the output is 3P2-free,
+  respectively 2P3-free, while keeping the instance tight.
 * ``one-in-three``: encode 1-in-3 satisfiability of a (3,3)-monotone formula
   into the fall spectrum of the complement of a union of 5-vertex clause
   paths and variable triangles.
 
+``REDUCTIONS`` maps each kind to its source loader and its certifier, which
+``verify_reduction`` runs; the ``gadget`` and ``verify`` commands read it.
 Every constructor is deterministic: fresh vertices are numbered by source
 element (edge or clause) first and gadget-internal position second, so
 instances are byte-stable across runs.
@@ -24,10 +26,12 @@ instances are byte-stable across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Any
 
 from .graphs import (Colouring, Graph, GraphError, analyze_tight,
                      disjoint_union, is_fall_colouring, is_tight_b_colouring)
+from .io import load_formula, load_graph
 from .oracles import (DEFAULT_NODE_BUDGET, DEFAULT_NP_BUDGET, BudgetExceededError,
                       Formula33, NotCubicError, clique_number, fall_spectrum,
                       min_maximal_matching_size, one_in_three_sat,
@@ -123,15 +127,21 @@ def cobipartite_hardness_instance(g: Graph) -> CobipartiteInstance:
 # -- edge-colouring hardness instances -------------------------------------------
 
 
+EDGE3COL_VARIANTS = ("edge3col", "edge3col-3p2", "edge3col-2p3")
+
+
 @dataclass(frozen=True)
 class EdgeColouringInstance:
-    variant: str  # "edge3col" | "edge3col-3p2" | "edge3col-2p3"
+    variant: str  # one of EDGE3COL_VARIANTS
     source: Graph
     graph: Graph
     edge_list: tuple[tuple[int, int], ...]
     vertex_of: tuple[int, ...]      # instance index of source vertex i
     edge_vertex_of: tuple[int, ...]  # instance index of source edge j
-    groups: dict[str, tuple[int, ...]] = field(default_factory=dict)
+    groups: dict[str, tuple[int, ...]]
+    # forward colour of every vertex; 0 on the edge vertices, whose colour
+    # is that of their source edge
+    fixed_colours: tuple[int, ...]
 
     @property
     def advertised_colours(self) -> int:
@@ -144,112 +154,80 @@ def _require_cubic(g: Graph) -> None:
         raise NotCubicError("edge-colouring reductions need a cubic input")
 
 
-def edge3col_instance(g: Graph) -> EdgeColouringInstance:
-    """Split graph (input clique + one vertex per input edge) plus three
-    pendant stars with n+2 leaves each; tight with m-degree n+3."""
+def edge3col_instance(g: Graph, variant: str = "edge3col") -> EdgeColouringInstance:
+    """Encode 3-edge-colourability of a cubic graph into the existence of a
+    tight b-colouring.
+
+    The core is a split graph: a clique on the n source vertices (forward
+    colours 4..n+3) plus one vertex per source edge, adjacent to its two
+    ends (the edge's colour).  The periphery depends on ``variant``:
+
+    * ``edge3col``: three stars, centres coloured 1, 2, 3, each with n+2
+      leaves taking the other colours; tight with m-degree n+3.
+    * ``edge3col-3p2``: the centres form a triangle and each star keeps n
+      leaves coloured 4..n+3; 3P2-free, tight with m-degree n+3.
+    * ``edge3col-2p3``: three cliques A (m+1 vertices, colours n+4..),
+      B (1, 2, 3) and C (4..n+3), with complete joins V-A, A-B, B-C and C-E;
+      2P3-free, tight with m-degree m+n+4.
+    """
+    if variant not in EDGE3COL_VARIANTS:
+        raise GraphError(f"unknown edge3col variant {variant!r}")
     _require_cubic(g)
     n, edges = g.n, tuple(g.edges())
     m = len(edges)
-    e0, c0, w0 = n, n + m, n + m + 3
-    out = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    out += [(u, e0 + j) for j, (a, b) in enumerate(edges) for u in (a, b)]
-    leaves = {}
-    for r in range(3):
-        ls = tuple(w0 + r * (n + 2) + k for k in range(n + 2))
-        leaves[f"leaves{r}"] = ls
-        out += [(c0 + r, w) for w in ls]
-    graph = Graph.from_edges(w0 + 3 * (n + 2), out)
-    return EdgeColouringInstance("edge3col", g, graph, edges,
-                                 tuple(range(n)), tuple(e0 + j for j in range(m)),
-                                 {"centres": (c0, c0 + 1, c0 + 2), **leaves})
+    out = list(combinations(range(n), 2))
+    out += [(u, n + j) for j, (a, b) in enumerate(edges) for u in (a, b)]
+    colour = list(range(4, n + 4)) + [0] * m
+    groups: dict[str, tuple[int, ...]] = {}
 
+    def add(name: str, colours) -> tuple[int, ...]:
+        """Append a periphery group with these forward colours."""
+        groups[name] = tuple(range(len(colour), len(colour) + len(colours)))
+        colour.extend(colours)
+        return groups[name]
 
-def edge3col_3p2_free_instance(g: Graph) -> EdgeColouringInstance:
-    """Variant with n leaves per star and a triangle on the star centres;
-    the output is 3P2-free, still tight with m-degree n+3."""
-    _require_cubic(g)
-    n, edges = g.n, tuple(g.edges())
-    m = len(edges)
-    e0, c0, w0 = n, n + m, n + m + 3
-    out = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    out += [(u, e0 + j) for j, (a, b) in enumerate(edges) for u in (a, b)]
-    out += [(c0, c0 + 1), (c0, c0 + 2), (c0 + 1, c0 + 2)]
-    leaves = {}
-    for r in range(3):
-        ls = tuple(w0 + r * n + k for k in range(n))
-        leaves[f"leaves{r}"] = ls
-        out += [(c0 + r, w) for w in ls]
-    graph = Graph.from_edges(w0 + 3 * n, out)
-    return EdgeColouringInstance("edge3col-3p2", g, graph, edges,
-                                 tuple(range(n)), tuple(e0 + j for j in range(m)),
-                                 {"centres": (c0, c0 + 1, c0 + 2), **leaves})
-
-
-def edge3col_2p3_free_instance(g: Graph) -> EdgeColouringInstance:
-    """Variant replacing the stars by three joined cliques A (m+1 vertices),
-    B (3) and C (n), with complete joins V-A, A-B, B-C and C-E; the output is
-    2P3-free and tight with m-degree m+n+4."""
-    _require_cubic(g)
-    n, edges = g.n, tuple(g.edges())
-    m = len(edges)
-    e0 = n
-    a0 = n + m
-    b0 = a0 + m + 1
-    cc0 = b0 + 3
-    total = cc0 + n
-    a = tuple(range(a0, a0 + m + 1))
-    b = tuple(range(b0, b0 + 3))
-    c = tuple(range(cc0, cc0 + n))
-    out = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    out += [(u, e0 + j) for j, (x, y) in enumerate(edges) for u in (x, y)]
-    for grp in (a, b, c):
-        out += [(x, y) for x in grp for y in grp if x < y]
-    out += [(v, x) for v in range(n) for x in a]
-    out += [(x, y) for x in a for y in b]
-    out += [(x, y) for x in b for y in c]
-    out += [(x, e0 + j) for x in c for j in range(m)]
-    graph = Graph.from_edges(total, out)
-    return EdgeColouringInstance("edge3col-2p3", g, graph, edges,
-                                 tuple(range(n)), tuple(e0 + j for j in range(m)),
-                                 {"a": a, "b": b, "c": c})
+    if variant == "edge3col-2p3":
+        a = add("a", range(n + 4, m + n + 5))
+        b = add("b", (1, 2, 3))
+        c = add("c", range(4, n + 4))
+        for grp in (a, b, c):
+            out += combinations(grp, 2)
+        out += [(v, x) for v in range(n) for x in a]
+        out += [(x, y) for x in a for y in b]
+        out += [(x, y) for x in b for y in c]
+        out += [(x, n + j) for x in c for j in range(m)]
+    else:
+        centres = add("centres", (1, 2, 3))
+        if variant == "edge3col-3p2":
+            out += combinations(centres, 2)
+        for r, centre in enumerate(centres):
+            if variant == "edge3col":
+                rest = [x for x in range(1, n + 4) if x != r + 1]
+            else:
+                rest = range(4, n + 4)
+            out += [(centre, w) for w in add(f"leaves{r}", rest)]
+    graph = Graph.from_edges(len(colour), out)
+    return EdgeColouringInstance(variant, g, graph, edges, tuple(range(n)),
+                                 tuple(range(n, n + m)), groups, tuple(colour))
 
 
 def edge_colouring_to_tight_bcolouring(inst: EdgeColouringInstance,
                                        ec: dict[tuple[int, int], int]) -> Colouring:
     """Map a proper 3-edge-colouring of the source through the construction,
     producing a tight b-colouring with the advertised number of colours."""
-    g = inst.source
     if set(ec) != set(inst.edge_list):
         raise GraphError("edge colouring must cover exactly the source edges")
     if any(c not in (1, 2, 3) for c in ec.values()):
         raise GraphError("edge colours must lie in {1,2,3}")
-    at: dict[int, set[int]] = {v: set() for v in range(g.n)}
+    at: dict[int, set[int]] = {v: set() for v in range(inst.source.n)}
     for (u, v), c in ec.items():
         if c in at[u] or c in at[v]:
             raise GraphError("edge colouring is not proper")
         at[u].add(c)
         at[v].add(c)
-
-    n, m = g.n, len(inst.edge_list)
-    colour = [0] * inst.graph.n
-    for j, e in enumerate(inst.edge_list):
-        colour[inst.edge_vertex_of[j]] = ec[e]
-    for i in range(n):
-        colour[inst.vertex_of[i]] = 4 + i
-    if inst.variant in ("edge3col", "edge3col-3p2"):
-        for r, centre in enumerate(inst.groups["centres"]):
-            colour[centre] = r + 1
-            rest = [x for x in range(1, n + 4) if x != r + 1] \
-                if inst.variant == "edge3col" else list(range(4, n + 4))
-            for w, x in zip(inst.groups[f"leaves{r}"], rest):
-                colour[w] = x
-    else:
-        for r, x in enumerate(inst.groups["a"]):
-            colour[x] = n + 4 + r
-        for s, x in enumerate(inst.groups["b"]):
-            colour[x] = s + 1
-        for t, x in enumerate(inst.groups["c"]):
-            colour[x] = 4 + t
+    colour = list(inst.fixed_colours)
+    for x, e in zip(inst.edge_vertex_of, inst.edge_list):
+        colour[x] = ec[e]
     return Colouring.from_values(colour)
 
 
@@ -401,24 +379,47 @@ def _edge3col_structural(inst: EdgeColouringInstance) -> list[tuple[str, bool]]:
     return checks
 
 
-def verify_reduction(kind: str, source, *, node_budget: int = DEFAULT_NODE_BUDGET,
-                     backward: bool = True) -> ReductionCertificate:
-    """Build the named reduction instance, run its structural checks, map an
-    oracle solution of the source forward through the construction, and
-    (budget permitting) solve the instance backward for consistency.
+def _forward(cert: ReductionCertificate, solve, to_witness, valid,
+             yes_note: str, no_note: str) -> bool | None:
+    """Solve the source, map a solution through the construction, append
+    "forward witness validates" and set the forward note.  Returns whether
+    the source is a yes-instance, or None when its oracle is over budget:
+    the instance is then still emitted, with the forward step skipped."""
+    try:
+        solution = solve()
+    except BudgetExceededError as exc:
+        cert.forward_note = f"forward step skipped, answer unknown: {exc}"
+        return None
+    if solution is None:
+        cert.forward_note = no_note
+        return False
+    witness = to_witness(solution)
+    cert.structural_checks.append(("forward witness validates", valid(witness)))
+    cert.forward_witness = witness
+    cert.forward_note = yes_note.format(witness.k)
+    return True
 
-    A validated forward witness combined with a backward refutation marks
-    the certificate inconsistent: that combination would falsify the
-    construction and must fail loudly in the test suite.
-    """
-    if kind == "cobipartite":
-        inst = cobipartite_hardness_instance(source)
-        checks = [("gadget union is bipartite", inst.bipartite_union.is_bipartite()),
-                  ("gadget union is C4-free", is_free(inst.bipartite_union, "C4")),
-                  ("instance is 3P1-free", is_free(inst.graph, "3P1")),
-                  ("instance is 2P2-free", is_free(inst.graph, "2P2"))]
-        cert = ReductionCertificate(kind, {"n": source.n, "m": source.edge_count()},
-                                    inst.graph, checks)
+
+def _settle(cert: ReductionCertificate, consistent: bool | None) -> None:
+    """Record whether the backward answer agrees with the forward one;
+    None when either is unknown."""
+    if consistent is None:
+        cert.equivalence_status = "inconclusive"
+    else:
+        cert.inconsistent = not consistent
+        cert.equivalence_status = "verified" if consistent else "structural-only"
+
+
+def _certify_cobipartite(kind: str, source: Graph, node_budget: int,
+                         backward: bool) -> ReductionCertificate:
+    inst = cobipartite_hardness_instance(source)
+    checks = [("gadget union is bipartite", inst.bipartite_union.is_bipartite()),
+              ("gadget union is C4-free", is_free(inst.bipartite_union, "C4")),
+              ("instance is 3P1-free", is_free(inst.graph, "3P1")),
+              ("instance is 2P2-free", is_free(inst.graph, "2P2"))]
+    cert = ReductionCertificate(kind, {"n": source.n, "m": source.edge_count()},
+                                inst.graph, checks)
+    if backward:
         # no asserted formula relates these two numbers; they are recorded only
         try:
             cert.measurements["min_maximal_matching"] = min_maximal_matching_size(source)
@@ -426,66 +427,72 @@ def verify_reduction(kind: str, source, *, node_budget: int = DEFAULT_NODE_BUDGE
             pass
         if inst.graph.n <= DEFAULT_NP_BUDGET:
             cert.measurements["b_chromatic_number"] = b_chromatic_number(inst.graph)[0]
-        return cert
+    return cert
 
-    if kind in ("edge3col", "edge3col-3p2", "edge3col-2p3"):
-        builder = {"edge3col": edge3col_instance,
-                   "edge3col-3p2": edge3col_3p2_free_instance,
-                   "edge3col-2p3": edge3col_2p3_free_instance}[kind]
-        inst = builder(source)
-        cert = ReductionCertificate(kind, {"n": source.n, "m": source.edge_count()},
-                                    inst.graph, _edge3col_structural(inst))
-        ec = three_edge_colouring(source)
-        forward_yes = ec is not None
-        if forward_yes:
-            witness = edge_colouring_to_tight_bcolouring(inst, ec)
-            ok = is_tight_b_colouring(inst.graph, witness) and witness.k == inst.advertised_colours
-            cert.structural_checks.append(("forward witness validates", ok))
-            cert.forward_witness = witness
-            cert.forward_note = f"3-edge-colouring mapped to {witness.k} colours"
-        else:
-            cert.forward_note = "source has no 3-edge-colouring"
-        if backward:
-            res = tight_b_exact(inst.graph, node_budget=node_budget)
-            cert.measurements["backward_nodes"] = res.nodes
-            cert.backward_note = f"tight b-colouring search: {res.status}"
-            if res.status == "inconclusive":
-                cert.equivalence_status = "inconclusive"
-            else:
-                backward_yes = res.status == "found"
-                if backward_yes != forward_yes:
-                    cert.inconsistent = True
-                cert.equivalence_status = "verified" if not cert.inconsistent else "structural-only"
-        return cert
 
-    if kind == "one-in-three":
-        inst = one_in_three_graph(source)
-        checks = [("|V| == 5n", inst.g.n == 5 * source.variables),
-                  ("clique number 3", clique_number(inst.g) == 3)]
-        for name in ("C5", "2P2", "P2+2P1", "4P1"):
-            checks.append((f"complement is {name}-free", is_free(inst.gbar, name)))
-        cert = ReductionCertificate(kind, {"variables": source.variables},
-                                    inst.gbar, checks)
-        assignment = one_in_three_sat(source)
-        forward_yes = assignment is not None
-        if forward_yes:
-            witness = assignment_to_fall_colouring(inst, assignment)
-            ok = witness.k == inst.target and is_fall_colouring(inst.gbar, witness)
-            cert.structural_checks.append(("forward witness validates", ok))
-            cert.forward_witness = witness
-            cert.forward_note = f"1-in-3 assignment mapped to {witness.k} fall colours"
-        else:
-            cert.forward_note = "formula is not 1-in-3 satisfiable"
-        if backward:
-            spectrum = fall_spectrum(inst.gbar)
-            cert.measurements["fall_spectrum"] = list(spectrum.values)
-            expected = (inst.target,) if forward_yes else ()
-            if spectrum.values != expected:
-                cert.inconsistent = True
-            cert.equivalence_status = "verified" if not cert.inconsistent else "structural-only"
-        return cert
+def _certify_edge3col(kind: str, source: Graph, node_budget: int,
+                      backward: bool) -> ReductionCertificate:
+    inst = edge3col_instance(source, kind)
+    cert = ReductionCertificate(kind, {"n": source.n, "m": source.edge_count()},
+                                inst.graph, _edge3col_structural(inst))
+    forward_yes = _forward(
+        cert, lambda: three_edge_colouring(source),
+        lambda ec: edge_colouring_to_tight_bcolouring(inst, ec),
+        lambda w: is_tight_b_colouring(inst.graph, w) and w.k == inst.advertised_colours,
+        "3-edge-colouring mapped to {} colours", "source has no 3-edge-colouring")
+    if backward:
+        res = tight_b_exact(inst.graph, node_budget=node_budget)
+        cert.measurements["backward_nodes"] = res.nodes
+        cert.backward_note = f"tight b-colouring search: {res.status}"
+        _settle(cert, None if forward_yes is None or res.status == "inconclusive"
+                else (res.status == "found") == forward_yes)
+    return cert
 
-    raise GraphError(f"unknown reduction kind {kind!r}")
+
+def _certify_one_in_three(kind: str, source: Formula33, node_budget: int,
+                          backward: bool) -> ReductionCertificate:
+    inst = one_in_three_graph(source)
+    checks = [("|V| == 5n", inst.g.n == 5 * source.variables),
+              ("clique number 3", clique_number(inst.g) == 3)]
+    checks += [(f"complement is {name}-free", is_free(inst.gbar, name))
+               for name in ("C5", "2P2", "P2+2P1", "4P1")]
+    cert = ReductionCertificate(kind, {"variables": source.variables}, inst.gbar, checks)
+    forward_yes = _forward(
+        cert, lambda: one_in_three_sat(source),
+        lambda assignment: assignment_to_fall_colouring(inst, assignment),
+        lambda w: w.k == inst.target and is_fall_colouring(inst.gbar, w),
+        "1-in-3 assignment mapped to {} fall colours", "formula is not 1-in-3 satisfiable")
+    if backward:
+        spectrum = fall_spectrum(inst.gbar)
+        cert.measurements["fall_spectrum"] = list(spectrum.values)
+        _settle(cert, None if forward_yes is None
+                else spectrum.values == ((inst.target,) if forward_yes else ()))
+    return cert
+
+
+# Reduction kind -> (source loader, certifier).  The loaders look their
+# function up when called, so a wrapper put on the module attribute later
+# (bench/spans.py traces that way) still sees the call.
+REDUCTIONS = {
+    "cobipartite": (lambda path: load_graph(path), _certify_cobipartite),
+    **{v: (lambda path: load_graph(path), _certify_edge3col) for v in EDGE3COL_VARIANTS},
+    "one-in-three": (lambda path: load_formula(path), _certify_one_in_three),
+}
+
+
+def verify_reduction(kind: str, source, *, node_budget: int = DEFAULT_NODE_BUDGET,
+                     backward: bool = True) -> ReductionCertificate:
+    """Build the named reduction instance, run its structural checks, map an
+    oracle solution of the source forward through the construction, and
+    with ``backward`` solve the instance for consistency.
+
+    A validated forward witness combined with a backward refutation marks
+    the certificate inconsistent: that combination would falsify the
+    construction and must fail loudly in the test suite.
+    """
+    if kind not in REDUCTIONS:
+        raise GraphError(f"unknown reduction kind {kind!r}")
+    return REDUCTIONS[kind][1](kind, source, node_budget, backward)
 
 
 # frozen (3,3)-monotone formulas: a 1-in-3 satisfiable one on 3 variables and

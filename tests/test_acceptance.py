@@ -8,10 +8,10 @@ import itertools
 import random
 
 from bchromatic.fall import fall_p3p1_free
-from bchromatic.gadgets import (FORMULA_N3_SATISFIABLE, FORMULA_N6_UNSATISFIABLE,
+from bchromatic.gadgets import (EDGE3COL_VARIANTS, FORMULA_N3_SATISFIABLE,
+                                FORMULA_N6_UNSATISFIABLE,
                                 cobipartite_hardness_instance, crown_graph,
-                                edge3col_2p3_free_instance,
-                                edge3col_3p2_free_instance, edge3col_instance,
+                                edge3col_instance,
                                 edge_colouring_to_tight_bcolouring,
                                 one_in_three_graph, petersen_graph, prism_graph)
 from bchromatic.graphs import (Graph, analyze_tight, bits, is_b_colouring,
@@ -231,11 +231,11 @@ def test_criterion_5_gadget_structure():
         info = analyze_tight(edge3col_instance(g).graph)
         if not (info.m == n + 3 and info.is_tight):
             failures.append(f"{name} base")
-        v3 = edge3col_3p2_free_instance(g)
+        v3 = edge3col_instance(g, "edge3col-3p2")
         info = analyze_tight(v3.graph)
         if not (info.m == n + 3 and info.is_tight and is_free(v3.graph, "3P2")):
             failures.append(f"{name} 3p2")
-        v2 = edge3col_2p3_free_instance(g)
+        v2 = edge3col_instance(g, "edge3col-2p3")
         info = analyze_tight(v2.graph)
         degs = v2.graph.degrees()
         table = (all(degs[x] == m + n + 3 for x in range(n))
@@ -269,9 +269,8 @@ def test_criterion_6_reduction_equivalence():
         if ec is None:
             failures.append(f"{name} lost its edge colouring")
             continue
-        for builder in (edge3col_instance, edge3col_3p2_free_instance,
-                        edge3col_2p3_free_instance):
-            inst = builder(g)
+        for variant in EDGE3COL_VARIANTS:
+            inst = edge3col_instance(g, variant)
             col = edge_colouring_to_tight_bcolouring(inst, ec)
             if not (col.k == inst.advertised_colours
                     and is_tight_b_colouring(inst.graph, col)):

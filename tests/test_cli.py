@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from bchromatic.cli import main
-from bchromatic.gadgets import petersen_graph
+from bchromatic.cli import build_parser, main
+from bchromatic.gadgets import REDUCTIONS, petersen_graph
 from bchromatic.graphs import Colouring, Graph, is_tight_b_colouring
 from bchromatic.io import graph_digest, parse_dimacs, write_dimacs, write_formula
 from bchromatic.oracles import Formula33
@@ -152,6 +152,46 @@ def test_verify_command(files, capsys):
     assert code == 0 and rep["equivalence"] == "verified" and not rep["inconsistent"]
     code, rep = run(capsys, "verify", "one-in-three", files["f3"])
     assert code == 0 and rep["measurements"]["fall_spectrum"] == [7]
+
+
+@pytest.mark.parametrize("kind", list(REDUCTIONS))
+def test_gadget_and_verify_share_one_path(files, capsys, kind):
+    source = {"cobipartite": files["c4"], "one-in-three": files["f3"]}.get(kind, files["k4"])
+    prefix = files["dir"] / kind
+    code, gadget = run(capsys, "gadget", kind, source, "--out", str(prefix))
+    assert code == 0 and gadget["status"] == "ok"
+    code, verify = run(capsys, "verify", kind, source)
+    assert code == 0 and verify["status"] == "ok"
+    assert gadget["digest"] == verify["digest"]
+    assert gadget["structural_checks"] == verify["structural_checks"]
+    assert (gadget["forward"], gadget["forward_witness"]) == \
+        (verify["forward"], verify["forward_witness"])
+    emitted = parse_dimacs(prefix.with_suffix(".col").read_text())
+    assert graph_digest(emitted) == gadget["digest"]
+    subcommands = build_parser()._subparsers._group_actions[0].choices
+    for command in ("gadget", "verify"):
+        kinds = next(a.choices for a in subcommands[command]._actions if a.dest == "kind")
+        assert tuple(kinds) == tuple(REDUCTIONS)
+
+
+def test_reduction_over_the_forward_oracle_limit(files, capsys):
+    """The circular ladder CL9 has 18 vertices, past the 3-edge-colouring
+    oracle: the instance is still emitted, and verify is inconclusive."""
+    rungs = 9
+    cl9 = Graph.from_edges(2 * rungs, [e for i in range(rungs) for e in (
+        (i, (i + 1) % rungs), (rungs + i, rungs + (i + 1) % rungs), (i, rungs + i))])
+    src = files["dir"] / "cl9.col"
+    src.write_text(write_dimacs(cl9))
+    prefix = files["dir"] / "cl9-gadget"
+    code, rep = run(capsys, "gadget", "edge3col", str(src), "--out", str(prefix))
+    assert code == 0 and rep["status"] == "ok" and rep["forward_witness"] is None
+    assert "n<=16" in rep["forward"]
+    assert graph_digest(parse_dimacs(prefix.with_suffix(".col").read_text())) == rep["digest"]
+    code, rep = run(capsys, "verify", "edge3col", str(src), "--budget", "1000")
+    assert code == 2 and rep["status"] == "inconclusive"
+    assert rep["equivalence"] == "inconclusive" and not rep["inconsistent"]
+    assert rep["forward_witness"] is None and "n<=16" in rep["forward"]
+    assert all(rep["structural_checks"].values())
 
 
 def test_error_exit_code(files, capsys):

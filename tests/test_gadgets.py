@@ -4,12 +4,11 @@ import random
 
 import pytest
 
-from bchromatic.gadgets import (FORMULA_N3_SATISFIABLE, FORMULA_N6_UNSATISFIABLE,
-                                TRIANGLE_FREE_FALL_GADGET,
+from bchromatic.gadgets import (EDGE3COL_VARIANTS, FORMULA_N3_SATISFIABLE,
+                                FORMULA_N6_UNSATISFIABLE, TRIANGLE_FREE_FALL_GADGET,
                                 assignment_to_fall_colouring,
                                 cobipartite_hardness_instance, crown_graph,
-                                edge3col_2p3_free_instance,
-                                edge3col_3p2_free_instance, edge3col_instance,
+                                edge3col_instance,
                                 edge_colouring_to_tight_bcolouring, family,
                                 fall_gadget_union, odd_crown_graph,
                                 one_in_three_graph, petersen_graph,
@@ -17,6 +16,7 @@ from bchromatic.gadgets import (FORMULA_N3_SATISFIABLE, FORMULA_N6_UNSATISFIABLE
 from bchromatic.graphs import (Graph, GraphError, analyze_tight,
                                disjoint_union, is_fall_colouring,
                                is_tight_b_colouring)
+from bchromatic.io import graph_digest
 from bchromatic.oracles import (clique_number, fall_spectrum, one_in_three_sat,
                                 three_edge_colouring, tight_b_exact)
 from bchromatic.patterns import contains_induced, is_free, pattern_graph
@@ -63,20 +63,27 @@ def test_cobipartite_random_structural():
 
 
 def test_edge3col_instances_structure():
-    # K4: 4 clique vertices, 6 edge vertices, 3 centres, 3*(4+2) leaves
-    assert edge3col_instance(pattern_graph("K4")).graph.n == 31
+    # K4: 4 clique vertices and 6 edge vertices, then the periphery:
+    # 3 centres and 3*(4+2) leaves; 3 centres and 3*4 leaves; 7 + 3 + 4
+    pinned = {"edge3col": (31, "3330dc5e412fa0bc"), "edge3col-3p2": (25, "37c0bcc84be45c24"),
+              "edge3col-2p3": (24, "688fe2b280fd3818")}
+    for variant in EDGE3COL_VARIANTS:
+        inst = edge3col_instance(pattern_graph("K4"), variant)
+        assert (inst.graph.n, graph_digest(inst.graph)[:16]) == pinned[variant], variant
+    with pytest.raises(GraphError):
+        edge3col_instance(pattern_graph("K4"), "edge3col-4p1")
     for name, g in CUBIC_FIXTURES.items():
         n, m = g.n, g.edge_count()
-        base = edge3col_instance(g)
+        base = edge3col_instance(g, "edge3col")
         info = analyze_tight(base.graph)
         assert info.m == n + 3 and info.is_tight, name
 
-        v3 = edge3col_3p2_free_instance(g)
+        v3 = edge3col_instance(g, "edge3col-3p2")
         info = analyze_tight(v3.graph)
         assert info.m == n + 3 and info.is_tight, name
         assert is_free(v3.graph, "3P2"), name
 
-        v2 = edge3col_2p3_free_instance(g)
+        v2 = edge3col_instance(g, "edge3col-2p3")
         info = analyze_tight(v2.graph)
         assert info.m == m + n + 4 and info.is_tight, name
         assert is_free(v2.graph, "2P3"), name
@@ -90,7 +97,7 @@ def test_edge3col_instances_structure():
 
 def test_detector_soundness_control():
     """Hand-planting a 3P2 next to a 3P2-free instance must be detected."""
-    inst = edge3col_3p2_free_instance(pattern_graph("K4"))
+    inst = edge3col_instance(pattern_graph("K4"), "edge3col-3p2")
     assert is_free(inst.graph, "3P2")
     planted = disjoint_union(inst.graph, pattern_graph("3P2"))
     assert contains_induced(planted, pattern_graph("3P2")) is not None
@@ -101,9 +108,8 @@ def test_forward_witnesses_validate():
         g = CUBIC_FIXTURES[name]
         ec = three_edge_colouring(g)
         assert ec is not None, name
-        for builder in (edge3col_instance, edge3col_3p2_free_instance,
-                        edge3col_2p3_free_instance):
-            inst = builder(g)
+        for variant in EDGE3COL_VARIANTS:
+            inst = edge3col_instance(g, variant)
             col = edge_colouring_to_tight_bcolouring(inst, ec)
             assert col.k == inst.advertised_colours
             assert is_tight_b_colouring(inst.graph, col), (name, inst.variant)
