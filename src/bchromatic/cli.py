@@ -18,7 +18,8 @@ from pathlib import Path
 from . import __version__
 from .fall import fall_uniqueness_report
 from .gadgets import REDUCTIONS, ReductionCertificate, family, verify_reduction
-from .graphs import Colouring, Graph, analyze_tight, co_components, is_tight_b_colouring
+from .graphs import (Colouring, Graph, analyze_tight, bits, co_components,
+                     is_tight_b_colouring)
 from .io import (graph_digest, load_formula, load_graph, write_dimacs)
 from .oracles import (DEFAULT_FALL_BUDGET, DEFAULT_NP_BUDGET, BudgetExceededError,
                       NotTightError, b_chromatic_number, chromatic_number,
@@ -131,9 +132,22 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
+def _is_induced_embedding(g: Graph, h: Graph, witness: tuple[int, ...]) -> bool:
+    """Injective, and each pattern vertex's image sees exactly the images of
+    its pattern neighbours among the images: every edge and non-edge kept."""
+    if len(witness) != h.n or len(set(witness)) != h.n or not all(0 <= x < g.n for x in witness):
+        return False
+    image = sum(1 << x for x in witness)
+    return all(g.adj[witness[a]] & image == sum(1 << witness[b] for b in bits(h.adj[a]))
+               for a in range(h.n))
+
+
 def cmd_hfree(args) -> int:
     g = load_graph(args.path)
-    witness = contains_induced(g, pattern_graph(args.pattern))
+    h = pattern_graph(args.pattern)
+    witness = contains_induced(g, h)
+    if witness is not None and not _is_induced_embedding(g, h, witness):
+        raise ValueError(f"the search returned an invalid {args.pattern} witness")
     rep = _report("hfree", args.path, g)
     rep.update({"status": "ok", "pattern": args.pattern, "free": witness is None,
                 "witness": list(witness) if witness else None})

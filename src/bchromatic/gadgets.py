@@ -340,7 +340,6 @@ def fall_gadget_union(g: Graph, kind: str) -> Graph:
 @dataclass
 class ReductionCertificate:
     kind: str
-    input_summary: dict[str, Any]
     instance: Graph
     structural_checks: list[tuple[str, bool]]
     forward_witness: Colouring | None = None
@@ -417,8 +416,7 @@ def _certify_cobipartite(kind: str, source: Graph, node_budget: int,
               ("gadget union is C4-free", is_free(inst.bipartite_union, "C4")),
               ("instance is 3P1-free", is_free(inst.graph, "3P1")),
               ("instance is 2P2-free", is_free(inst.graph, "2P2"))]
-    cert = ReductionCertificate(kind, {"n": source.n, "m": source.edge_count()},
-                                inst.graph, checks)
+    cert = ReductionCertificate(kind, inst.graph, checks)
     if backward:
         # no asserted formula relates these two numbers; they are recorded only
         try:
@@ -433,8 +431,7 @@ def _certify_cobipartite(kind: str, source: Graph, node_budget: int,
 def _certify_edge3col(kind: str, source: Graph, node_budget: int,
                       backward: bool) -> ReductionCertificate:
     inst = edge3col_instance(source, kind)
-    cert = ReductionCertificate(kind, {"n": source.n, "m": source.edge_count()},
-                                inst.graph, _edge3col_structural(inst))
+    cert = ReductionCertificate(kind, inst.graph, _edge3col_structural(inst))
     forward_yes = _forward(
         cert, lambda: three_edge_colouring(source),
         lambda ec: edge_colouring_to_tight_bcolouring(inst, ec),
@@ -456,14 +453,19 @@ def _certify_one_in_three(kind: str, source: Formula33, node_budget: int,
               ("clique number 3", clique_number(inst.g) == 3)]
     checks += [(f"complement is {name}-free", is_free(inst.gbar, name))
                for name in ("C5", "2P2", "P2+2P1", "4P1")]
-    cert = ReductionCertificate(kind, {"variables": source.variables}, inst.gbar, checks)
+    cert = ReductionCertificate(kind, inst.gbar, checks)
     forward_yes = _forward(
         cert, lambda: one_in_three_sat(source),
         lambda assignment: assignment_to_fall_colouring(inst, assignment),
         lambda w: w.k == inst.target and is_fall_colouring(inst.gbar, w),
         "1-in-3 assignment mapped to {} fall colours", "formula is not 1-in-3 satisfiable")
     if backward:
-        spectrum = fall_spectrum(inst.gbar)
+        try:
+            spectrum = fall_spectrum(inst.gbar)
+        except BudgetExceededError as exc:
+            cert.backward_note = f"backward step skipped, answer unknown: {exc}"
+            _settle(cert, None)
+            return cert
         cert.measurements["fall_spectrum"] = list(spectrum.values)
         _settle(cert, None if forward_yes is None
                 else spectrum.values == ((inst.target,) if forward_yes else ()))

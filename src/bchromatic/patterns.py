@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 from .graphs import Graph, bits, disjoint_union
 
@@ -80,72 +81,185 @@ def pattern_graph(name: str) -> Graph:
 
 
 # -- induced-subgraph search ------------------------------------------------
+#
+# One loop with an explicit stack places the pattern's vertices in a fixed
+# order: components by decreasing size (ties by their smallest vertex), each
+# in BFS order from its smallest vertex, host candidates in increasing order.
+# The first embedding found is therefore the lexicographically least in that
+# order.  Two prunings keep exactly that embedding, so neither changes a
+# verdict or a witness:
+#
+# * symmetry conditions (Grochow & Kellis 2007): each pattern vertex v, taken
+#   in order, gets an image below the images of the other vertices in its
+#   orbit under the automorphisms that fix every earlier vertex.  Composing
+#   the least embedding with such an automorphism gives an embedding that
+#   agrees before v, so the least one meets every condition;
+# * a failure memo: whether the remaining components embed depends only on
+#   the next component, the host vertices still allowed and the earlier
+#   images that later conditions read.  Failed subproblems are recorded for
+#   the rest of the call.
 
 
-def _component_embeddings(g: Graph, allowed: int, h: Graph, comp: tuple[int, ...]):
-    """Yield induced embeddings of the connected pattern component ``comp``
-    into ``g`` restricted to ``allowed``, as dicts pattern->host, in a fixed
-    deterministic order."""
-    # BFS order from the smallest pattern vertex: every later vertex has an
-    # already-placed neighbour, which keeps candidate sets small.
-    order = [comp[0]]
-    seen = {comp[0]}
-    i = 0
-    while i < len(order):
-        for w in bits(h.adj[order[i]]):
-            if w in seen or w not in comp:
-                continue
-            seen.add(w)
-            order.append(w)
-        i += 1
-    assignment: dict[int, int] = {}
-
-    def rec(idx: int, used: int):
-        if idx == len(order):
-            yield dict(assignment)
-            return
-        pv = order[idx]
-        cand = allowed & ~used
-        for pu, hu in assignment.items():
-            if h.has_edge(pv, pu):
-                cand &= g.adj[hu]
-            else:
-                cand &= ~g.adj[hu]
-        for hv in bits(cand):
-            assignment[pv] = hv
-            yield from rec(idx + 1, used | (1 << hv))
-            del assignment[pv]
-
-    yield from rec(0, 0)
+class _Step(NamedTuple):
+    """What placing the pattern vertex at one position of the order reads."""
+    component: int
+    parent: int               # earliest earlier neighbour in the component, -1 at its start
+    adjacent: tuple[int, ...]  # the other earlier neighbours in the component
+    between: tuple[int, ...]  # non-neighbours placed between ``parent`` and here
+    below: tuple[int, ...]    # positions whose images must be smaller than this one
 
 
-def _search(g: Graph, h: Graph) -> dict[int, int] | None:
-    comps = sorted(h.components(), key=lambda c: (-len(c), c))
-    witness: dict[int, int] = {}
+class _Plan(NamedTuple):
+    order: tuple[int, ...]    # pattern vertices in search order
+    steps: tuple[_Step, ...]
+    # per component: earlier positions whose images its conditions read
+    reads: tuple[tuple[int, ...], ...]
 
-    def rec(ci: int, allowed: int) -> bool:
-        if ci == len(comps):
-            return True
-        comp = comps[ci]
-        for emb in _component_embeddings(g, allowed, h, comp):
-            closed = 0
-            for hv in emb.values():
-                closed |= g.adj[hv] | (1 << hv)
-            witness.update(emb)
-            if rec(ci + 1, allowed & ~closed):
-                return True
-            for pv in comp:
-                del witness[pv]
-        return False
 
-    return dict(witness) if rec(0, g.full_mask()) else None
+def _embed(g: Graph, plan: _Plan, pins: list[int] | None = None) -> list[int] | None:
+    """Host images of ``plan.order`` under the least induced embedding into
+    ``g``, or None.  ``pins`` restricts each position to a mask of hosts."""
+    k = len(plan.order)
+    adj, steps, reads = g.adj, plan.steps, plan.reads
+    img, closed, untried = [0] * k, [0] * k, [0] * k
+    # seen[j]: closed neighbourhoods of the images placed in the current
+    # component before position j; allowed[c]: hosts left for component c
+    seen = [0] * (k + 1)
+    allowed = [0] * len(reads)
+    keys: list[tuple] = [()] * len(reads)
+    failed: set[tuple] = set()
+    allowed[0] = g.full_mask()
+    j = 0
+    while True:
+        ci, p, adjacent, between, below = steps[j]
+        if p >= 0:
+            cand = allowed[ci] & adj[img[p]] & ~seen[p]
+            for t in adjacent:
+                cand &= adj[img[t]]
+            for t in between:
+                cand &= ~closed[t]
+        elif ci:
+            # seen[j] still covers the previous component: its images'
+            # closed neighbourhoods are closed to this one
+            allowed[ci] = allowed[ci - 1] & ~seen[j]
+            seen[j] = 0
+            keys[ci] = key = (ci, allowed[ci], *[img[t] for t in reads[ci]])
+            cand = 0 if key in failed else allowed[ci]
+        else:
+            cand = allowed[0]
+        if below and cand:
+            floor = 0
+            for t in below:
+                if img[t] >= floor:
+                    floor = img[t] + 1
+            cand = cand >> floor << floor
+        if pins is not None:
+            cand &= pins[j]
+        untried[j] = cand
+        while not untried[j]:
+            if steps[j].parent < 0:
+                failed.add(keys[steps[j].component])
+            j -= 1
+            if j < 0:
+                return None
+        cand = untried[j]
+        low = cand & -cand
+        untried[j] = cand ^ low
+        v = low.bit_length() - 1
+        img[j] = v
+        closed[j] = adj[v] | low
+        seen[j + 1] = seen[j] | closed[j]
+        j += 1
+        if j == k:
+            return img
+
+
+def _make_plan(h: Graph, below: list[list[int]] | None = None) -> _Plan:
+    """The search order of ``h``; ``below[j]`` lists the positions whose
+    images must be smaller than position j's (none by default)."""
+    order: list[int] = []
+    component: list[int] = []
+    starts: list[int] = []
+    for ci, comp in enumerate(sorted(h.components(), key=lambda c: (-len(c), c))):
+        queue, reached = [comp[0]], 1 << comp[0]
+        for u in queue:
+            for w in bits(h.adj[u] & ~reached):
+                reached |= 1 << w
+                queue.append(w)
+        starts.append(len(order))
+        order += queue
+        component += [ci] * len(queue)
+    below = below or [[] for _ in order]
+    pos = {v: j for j, v in enumerate(order)}
+    steps = []
+    for j, v in enumerate(order):
+        earlier = sorted(pos[w] for w in bits(h.adj[v]) if pos[w] < j)
+        parent = earlier[0] if earlier else -1
+        between = tuple(t for t in range(parent + 1, j) if t not in earlier) if earlier else ()
+        steps.append(_Step(component[j], parent, tuple(earlier[1:]), between, tuple(below[j])))
+    reads = tuple(tuple(sorted({t for later in below[s:] for t in later if t < s}))
+                  for s in starts)
+    return _Plan(tuple(order), tuple(steps), reads)
+
+
+def _distances(h: Graph, v: int) -> list[int]:
+    """BFS distance from ``v`` to every vertex, -1 where unreachable."""
+    dist = [-1] * h.n
+    frontier = reached = 1 << v
+    d = 0
+    while frontier:
+        nxt = 0
+        for u in bits(frontier):
+            dist[u] = d
+            nxt |= h.adj[u]
+        frontier = nxt & ~reached
+        reached |= frontier
+        d += 1
+    return dist
+
+
+def _symmetry_conditions(h: Graph, bare: _Plan) -> list[list[int]]:
+    """Per position of ``bare.order``, the earlier positions whose images
+    must be smaller: position i goes below every other vertex of its orbit
+    under the automorphisms fixing positions 0..i-1.
+
+    Each orbit member is found by a pinned search of ``h`` into itself.  The
+    automorphisms that fix a vertex set keep every vertex's degree and
+    distances to that set, so those labels narrow the candidates and every
+    pinned search; once the labels tell all vertices apart the stabiliser is
+    trivial and the rest of the orbits are singletons.  The group itself is
+    never listed (8P1 alone has 40,320 automorphisms).
+    """
+    pos = {v: j for j, v in enumerate(bare.order)}
+    below: list[list[int]] = [[] for _ in bare.order]
+    label = [(d,) for d in h.degrees()]
+    for i, v in enumerate(bare.order):
+        if len(set(label)) == h.n:
+            break
+        classes: dict[tuple, int] = {}
+        for u, lab in enumerate(label):
+            classes[lab] = classes.get(lab, 0) | 1 << u
+        pins = [classes[label[u]] for u in bare.order]
+        for w in bits(classes[label[v]] & ~(1 << v)):
+            pins[i] = 1 << w
+            if _embed(h, bare, pins) is not None:
+                below[pos[w]].append(i)
+        label = [lab + (d,) for lab, d in zip(label, _distances(h, v))]
+    # a < s < j already implies a < j: fewer reads, more memo hits
+    return [[t for t in lows if not any(t in below[s] for s in lows)] for lows in below]
+
+
+@lru_cache(maxsize=64)
+def _plan(h: Graph) -> _Plan:
+    return _make_plan(h, _symmetry_conditions(h, _make_plan(h)))
 
 
 def contains_induced(g: Graph, h: Graph) -> tuple[int, ...] | None:
     """Injective map preserving edges and non-edges, or None.
 
-    The returned tuple maps pattern vertex i to host vertex witness[i].  On
-    hosts that are denser than half the possible edges the search runs on the
+    The returned tuple maps pattern vertex i to host vertex witness[i]; it is
+    the least embedding in the search order described above.  On hosts that
+    are denser than half the possible edges the search runs on the
     complements, which leaves the witness unchanged and keeps the dense
     hardness instances cheap to check.
     """
@@ -154,12 +268,15 @@ def contains_induced(g: Graph, h: Graph) -> tuple[int, ...] | None:
     if h.n == 0:
         return ()
     if g.n >= 2 and 2 * g.edge_count() > g.n * (g.n - 1) // 2:
-        found = _search(g.complement(), h.complement())
-    else:
-        found = _search(g, h)
-    if found is None:
+        g, h = g.complement(), h.complement()
+    plan = _plan(h)
+    images = _embed(g, plan)
+    if images is None:
         return None
-    return tuple(found[i] for i in range(h.n))
+    witness = [0] * h.n
+    for v, x in zip(plan.order, images):
+        witness[v] = x
+    return tuple(witness)
 
 
 def is_free(g: Graph, pattern: str) -> bool:

@@ -63,6 +63,85 @@ def naive_contains_induced(g: Graph, h: Graph) -> bool:
     return False
 
 
+def search_order(h: Graph) -> list[int]:
+    """The order the induced-pattern search places pattern vertices in:
+    components by decreasing size (ties by smallest vertex), each in BFS
+    order from its smallest vertex."""
+    order: list[int] = []
+    for comp in sorted(h.components(), key=lambda c: (-len(c), c)):
+        i = len(order)
+        order.append(comp[0])
+        while i < len(order):
+            order += [w for w in bits(h.adj[order[i]]) if w not in order]
+            i += 1
+    return order
+
+
+def _is_dense(edges: int, n: int) -> bool:
+    return n >= 2 and 2 * edges > n * (n - 1) // 2
+
+
+def reference_contains_induced(g: Graph, h: Graph) -> tuple[int, ...] | None:
+    """The unpruned induced-pattern search: pattern vertices placed in
+    ``search_order``, host candidates in increasing order, the first
+    embedding wins; on hosts denser than half the pairs the order is that of
+    the complement of ``h``.  The package's search must return exactly this
+    witness."""
+    if h.n > g.n:
+        return None
+    order = search_order(h.complement() if _is_dense(g.edge_count(), g.n) else h)
+    image: dict[int, int] = {}
+
+    def rec(i: int) -> bool:
+        if i == len(order):
+            return True
+        v = order[i]
+        for x in range(g.n):
+            if x not in image.values() and all(
+                    g.has_edge(x, y) == h.has_edge(v, u) for u, y in image.items()):
+                image[v] = x
+                if rec(i + 1):
+                    return True
+                del image[v]
+        return False
+
+    return tuple(image[v] for v in range(h.n)) if rec(0) else None
+
+
+def reference_witness_table(n: int, h: Graph) -> dict[int, tuple[int, ...]]:
+    """``reference_contains_induced`` for every labelled host on n vertices
+    at once, keyed by the host's edge mask over combinations(range(n), 2)
+    (the order ``all_graphs`` enumerates in); hosts without a copy are
+    absent.  Maps are tried in lexicographic order of their images along the
+    search order, and each claims every host that agrees with it on its
+    image pairs and has not been claimed yet."""
+    pairs = list(itertools.combinations(range(n), 2))
+    bit = {p: 1 << i for i, p in enumerate(pairs)}
+    everything = (1 << len(pairs)) - 1
+    table: dict[int, tuple[int, ...]] = {}
+    for dense in (False, True):
+        order = search_order(h.complement() if dense else h)
+        for images in itertools.permutations(range(n), h.n):
+            phi = dict(zip(order, images))
+            span = edges = 0
+            for a, b in itertools.combinations(range(h.n), 2):
+                pair = bit[min(phi[a], phi[b]), max(phi[a], phi[b])]
+                span |= pair
+                if h.has_edge(a, b):
+                    edges |= pair
+            witness = tuple(phi[v] for v in range(h.n))
+            free = everything & ~span
+            sub = free
+            while True:
+                host = edges | sub
+                if host not in table and _is_dense(host.bit_count(), n) == dense:
+                    table[host] = witness
+                if not sub:
+                    break
+                sub = (sub - 1) & free
+    return table
+
+
 def independent_set_partitions(g: Graph):
     """All partitions of V into non-empty independent sets, as lists of
     masks (canonical enumeration: each vertex joins an existing class or

@@ -263,3 +263,43 @@ def test_no_assert_statements_in_package():
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
         assert not lines, f"{path.name}: assert at lines {lines}"
+
+
+def test_hfree_deep_pattern(files, capsys):
+    """A 1100-vertex pattern is placed 1100 levels deep; the search keeps its
+    own stack, so this is a report, not a RecursionError."""
+    src = files["dir"] / "p1200.col"
+    src.write_text(write_dimacs(pattern_graph("P1200")))
+    code, rep = run(capsys, "hfree", str(src), "--pattern", "P1100")
+    assert code == 0 and rep["status"] == "ok" and not rep["free"]
+    assert rep["witness"] == list(range(1100))
+
+
+def test_hfree_rejects_an_invalid_witness(files, capsys, monkeypatch):
+    import bchromatic.cli
+    monkeypatch.setattr(bchromatic.cli, "contains_induced", lambda g, h: (0, 1, 2, 3))
+    code, rep = run(capsys, "hfree", files["p5"], "--pattern", "2P2")
+    assert code == 3 and rep["status"] == "error" and "invalid 2P2 witness" in rep["error"]
+
+
+def test_one_in_three_over_the_fall_oracle_limit(files, capsys):
+    """Nine variables give a 45-vertex instance, past the fall oracle: the
+    backward step is skipped and verify is inconclusive."""
+    import random
+    rng = random.Random(9)
+    while True:
+        slots = [x for x in range(9) for _ in range(3)]
+        rng.shuffle(slots)
+        clauses = tuple(tuple(slots[i:i + 3]) for i in range(0, 27, 3))
+        if all(len(set(cl)) == 3 for cl in clauses):
+            break
+    src = files["dir"] / "f9.cnf13"
+    src.write_text(write_formula(Formula33(9, clauses)))
+    code, rep = run(capsys, "gadget", "one-in-three", str(src), "--out",
+                    str(files["dir"] / "f9-gadget"))
+    assert code == 0 and rep["n"] == 45
+    code, rep = run(capsys, "verify", "one-in-three", str(src))
+    assert code == 2 and rep["status"] == "inconclusive"
+    assert rep["equivalence"] == "inconclusive" and not rep["inconsistent"]
+    assert "n<=14" in rep["backward"] and rep["measurements"] == {}
+    assert all(rep["structural_checks"].values())

@@ -13,7 +13,8 @@ from bchromatic.patterns import (CoComponentKind, PatternError, Verdict,
                                  is_linear_forest, is_union_of_cliques,
                                  p3p1_decomposition, pattern_graph)
 
-from helpers import all_graphs, all_graphs_up_to, naive_contains_induced, random_graph
+from helpers import (all_graphs, all_graphs_up_to, naive_contains_induced, random_graph,
+                     reference_contains_induced, reference_witness_table)
 
 
 def test_pattern_expansion():
@@ -59,6 +60,40 @@ def test_contains_induced_agrees_with_naive():
         g = random_graph(rng, rng.randint(1, 8), rng.random())
         for h in patterns:
             assert (contains_induced(g, h) is not None) == naive_contains_induced(g, h)
+
+
+def test_witnesses_match_the_unpruned_search():
+    """The symmetry conditions and the failure memo prune only what cannot
+    hold the first embedding: every witness equals the unpruned search's, on
+    every graph with at most 6 vertices and on seeded 7-8-vertex graphs.  On
+    dense hosts the search runs on complements (2P2+P1 becomes W4); in P3+P2
+    the P2's ends have the degree of the P3's ends but another orbit."""
+    patterns = [pattern_graph(p) for p in
+                ("3P2", "2P3", "2P2+P1", "C5", "claw", "4P1", "P3+P1", "P3+P2")]
+    for n in range(1, 7):
+        tables = [reference_witness_table(n, h) for h in patterns]
+        for mask, g in enumerate(all_graphs(n)):
+            for h, table in zip(patterns, tables):
+                assert contains_induced(g, h) == table.get(mask), (g.adj, h.adj)
+    rng = random.Random(14)
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(7, 8), rng.random())
+        for h in patterns:
+            assert contains_induced(g, h) == reference_contains_induced(g, h), (g.adj, h.adj)
+
+
+def test_search_plan_never_lists_the_automorphism_group():
+    """12P1 has 12! automorphisms and P1100 is 1100 levels deep; their plans
+    come from pinned searches narrowed by vertex labels."""
+    import time
+    from bchromatic.patterns import _plan
+    start = time.perf_counter()
+    wide = _plan.__wrapped__(pattern_graph("12P1"))
+    deep = _plan.__wrapped__(pattern_graph("P1100"))
+    assert time.perf_counter() - start < 2.0
+    # each isolated vertex goes below the next; the path's ends are ordered
+    assert [s.below for s in wide.steps] == [()] + [(i,) for i in range(11)]
+    assert [j for j, s in enumerate(deep.steps) if s.below] == [1099]
 
 
 def test_is_induced_subgraph_of():
