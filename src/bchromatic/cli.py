@@ -2,8 +2,12 @@
 
 Every command prints one JSON report (``schema: 1``) with deterministic key
 order, either to stdout or to ``--out``.  Exit codes: 0 for ok/yes answers,
-1 for proven "no", 2 for inconclusive, 3 for errors.  The only environment
-override is ``ORACLE_BUDGET`` (a vertex budget for the exponential oracles).
+1 for proven "no", 2 for inconclusive, 3 for errors; any failure is one JSON
+error report with exit 3.  The only environment override is
+``ORACLE_BUDGET``, a vertex limit that ``oracle``, ``fall``, ``gadget`` and
+``verify`` pass to every exponential oracle they run; unset, each oracle
+keeps its own limit.  ``--budget`` is the node budget of the tight
+b-colouring search and keeps that oracle's default of 10^7 when omitted.
 """
 
 from __future__ import annotations
@@ -21,31 +25,36 @@ from .gadgets import REDUCTIONS, ReductionCertificate, family, verify_reduction
 from .graphs import (Colouring, Graph, analyze_tight, bits, co_components,
                      is_tight_b_colouring)
 from .io import (graph_digest, load_formula, load_graph, write_dimacs)
-from .oracles import (DEFAULT_FALL_BUDGET, DEFAULT_NP_BUDGET, BudgetExceededError,
-                      NotTightError, b_chromatic_number, chromatic_number,
-                      fall_spectrum, min_maximal_matching_size, one_in_three_sat,
-                      three_edge_colouring, tight_b_exact)
+from .oracles import (BudgetExceededError, NotTightError, b_chromatic_number,
+                      chromatic_number, fall_spectrum, min_maximal_matching_size,
+                      one_in_three_sat, three_edge_colouring, tight_b_exact)
 from .patterns import classify_b, classify_fall, classify_tight, contains_induced, pattern_graph
 from .tight import solve_tight
 
-EXIT_OK, EXIT_NO, EXIT_INCONCLUSIVE, EXIT_ERROR = 0, 1, 2, 3
+# report status -> exit code
+EXIT_CODES = {"ok": 0, "no": 1, "inconclusive": 2, "error": 3}
+# the report status of a search outcome ("found" | "absent" | "inconclusive")
+SEARCH_STATUS = {"found": "ok", "absent": "no", "inconclusive": "inconclusive"}
 
 
-def _budget(default: int) -> int:
+def _oracle_budget() -> int | None:
+    """``ORACLE_BUDGET`` as a vertex limit, or None for each oracle's own."""
     value = os.environ.get("ORACLE_BUDGET")
-    return int(value) if value else default
+    return int(value) if value else None
 
 
 def _witness(c: Colouring | None):
     return None if c is None else {"k": c.k, "colours": list(c.colours)}
 
 
-def _emit(report: dict, out: str | None) -> None:
+def _emit(report: dict, out: str | None) -> int:
+    """Write the report; the exit code of its status."""
     text = json.dumps(report, indent=2, sort_keys=True)
     if out:
         Path(out).write_text(text + "\n")
     else:
         print(text)
+    return EXIT_CODES[report["status"]]
 
 
 def _report(command: str, path: str, g: Graph | None) -> dict:
@@ -70,8 +79,7 @@ def cmd_analyze(args) -> int:
         "tight": info.is_tight,
         "co_components": [list(c) for c in co_components(g)],
     })
-    _emit(rep, args.out)
-    return EXIT_OK
+    return _emit(rep, args.out)
 
 
 def cmd_tightb(args) -> int:
@@ -84,28 +92,25 @@ def cmd_tightb(args) -> int:
         info = analyze_tight(g)
         rep.update({"status": "error", "error": str(exc),
                     "m_degree": info.m, "dense": sorted(info.dense)})
-        _emit(rep, args.out)
-        return EXIT_ERROR
+        return _emit(rep, args.out)
     rep.update({
         "path": res.path,
         "m_degree": res.m,
         "timing_ms": round(1000 * (time.perf_counter() - t0), 3),
         "nodes": res.nodes,
         "witness": _witness(res.colouring),
-        "status": {"found": "ok", "absent": "no", "inconclusive": "inconclusive"}[res.status],
+        "status": SEARCH_STATUS[res.status],
     })
     if res.colouring is not None and not is_tight_b_colouring(g, res.colouring):
         raise ValueError(f"the {res.path} path returned an invalid tight b-colouring")
-    _emit(rep, args.out)
-    return {"ok": EXIT_OK, "no": EXIT_NO, "inconclusive": EXIT_INCONCLUSIVE}[rep["status"]]
+    return _emit(rep, args.out)
 
 
 def cmd_fall(args) -> int:
     g = load_graph(args.path)
     rep = _report("fall", args.path, g)
     t0 = time.perf_counter()
-    res = fall_uniqueness_report(g, budget=_budget(DEFAULT_FALL_BUDGET),
-                                 force_oracle=args.force_oracle)
+    res = fall_uniqueness_report(g, budget=_oracle_budget(), force_oracle=args.force_oracle)
     values = list(res.spectrum.values)
     rep.update({
         "path": res.path,
@@ -117,8 +122,7 @@ def cmd_fall(args) -> int:
         "witnesses": {str(k): _witness(c) for k, c in sorted(res.spectrum.witnesses.items())},
         "timing_ms": round(1000 * (time.perf_counter() - t0), 3),
     })
-    _emit(rep, args.out)
-    return EXIT_OK if values else EXIT_NO
+    return _emit(rep, args.out)
 
 
 def cmd_classify(args) -> int:
@@ -128,8 +132,7 @@ def cmd_classify(args) -> int:
     rep = _report("classify", args.path, h)
     rep.update({"status": "ok", "problem": args.problem, "verdict": v.verdict.value,
                 "reason": v.reason, "family": v.family})
-    _emit(rep, args.out)
-    return EXIT_OK
+    return _emit(rep, args.out)
 
 
 def _is_induced_embedding(g: Graph, h: Graph, witness: tuple[int, ...]) -> bool:
@@ -151,8 +154,7 @@ def cmd_hfree(args) -> int:
     rep = _report("hfree", args.path, g)
     rep.update({"status": "ok", "pattern": args.pattern, "free": witness is None,
                 "witness": list(witness) if witness else None})
-    _emit(rep, args.out)
-    return EXIT_OK
+    return _emit(rep, args.out)
 
 
 def cmd_oracle(args) -> int:
@@ -168,7 +170,7 @@ def cmd_oracle(args) -> int:
     else:
         g = load_graph(args.path)
         rep["digest"] = graph_digest(g)
-        budget = _budget(DEFAULT_NP_BUDGET)
+        budget = _oracle_budget()
         if args.which == "chromatic":
             value, col = chromatic_number(g, budget=budget)
             witness = _witness(col)
@@ -177,11 +179,11 @@ def cmd_oracle(args) -> int:
             witness = _witness(col)
         elif args.which == "tightb":
             res = tight_b_exact(g, node_budget=args.budget)
-            status = {"found": "ok", "absent": "no", "inconclusive": "inconclusive"}[res.status]
+            status = SEARCH_STATUS[res.status]
             value = res.status == "found"
             witness, nodes = _witness(res.colouring), res.nodes
         elif args.which == "fall":
-            spectrum = fall_spectrum(g, budget=_budget(DEFAULT_FALL_BUDGET))
+            spectrum = fall_spectrum(g, budget=budget)
             value = list(spectrum.values)
             witness = {str(k): _witness(c) for k, c in sorted(spectrum.witnesses.items())}
             status = "ok" if value else "no"
@@ -195,15 +197,14 @@ def cmd_oracle(args) -> int:
     rep.update({"status": status, "value": value, "witness": witness,
                 "nodes_explored": nodes,
                 "timing_ms": round(1000 * (time.perf_counter() - t0), 3)})
-    _emit(rep, args.out)
-    return {"ok": EXIT_OK, "no": EXIT_NO, "inconclusive": EXIT_INCONCLUSIVE}[status]
+    return _emit(rep, args.out)
 
 
 def _reduction(args, **kw) -> tuple[ReductionCertificate, dict]:
     """The certificate of ``args.kind`` on the source at ``args.path``, and
     the report fields that ``gadget`` and ``verify`` share."""
     load, _ = REDUCTIONS[args.kind]
-    cert = verify_reduction(args.kind, load(args.path), **kw)
+    cert = verify_reduction(args.kind, load(args.path), budget=_oracle_budget(), **kw)
     rep = {"schema": 1, "command": f"{args.cmd} {args.kind}", "input": args.path,
            "digest": graph_digest(cert.instance),
            "structural_checks": dict(cert.structural_checks),
@@ -221,8 +222,7 @@ def cmd_gadget(args) -> int:
         "instance": str(col_path), "n": cert.instance.n, "edges": cert.instance.edge_count(),
     })
     Path(f"{out_prefix}.json").write_text(json.dumps(rep, indent=2, sort_keys=True) + "\n")
-    _emit(rep, None)
-    return EXIT_OK if rep["status"] == "ok" else EXIT_ERROR
+    return _emit(rep, None)
 
 
 def cmd_verify(args) -> int:
@@ -235,14 +235,13 @@ def cmd_verify(args) -> int:
         "status": "error" if (cert.inconsistent or not cert.structurally_sound())
                   else ("inconclusive" if cert.equivalence_status == "inconclusive" else "ok"),
     })
-    _emit(rep, args.out)
-    return {"ok": EXIT_OK, "inconclusive": EXIT_INCONCLUSIVE, "error": EXIT_ERROR}[rep["status"]]
+    return _emit(rep, args.out)
 
 
 def cmd_show(args) -> int:
     g = family(args.name, args.n)
     sys.stdout.write(write_dimacs(g))
-    return EXIT_OK
+    return EXIT_CODES["ok"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("tightb", help="tight b-colouring (class dispatch, oracle fallback)")
     sp.add_argument("path")
     sp.add_argument("--force-oracle", action="store_true")
-    sp.add_argument("--budget", type=int, default=10**7, help="oracle node budget")
+    sp.add_argument("--budget", type=int, help="oracle node budget")
     common(sp)
     sp.set_defaults(fn=cmd_tightb)
 
@@ -288,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("which", choices=("chromatic", "bchromatic", "tightb", "fall",
                                       "edge3col", "13sat", "mmm"))
     sp.add_argument("path")
-    sp.add_argument("--budget", type=int, default=10**7, help="node budget for tightb")
+    sp.add_argument("--budget", type=int, help="node budget for tightb")
     common(sp)
     sp.set_defaults(fn=cmd_oracle)
 
@@ -302,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="re-run structural checks and both oracle directions")
     sp.add_argument("kind", choices=tuple(REDUCTIONS))
     sp.add_argument("path")
-    sp.add_argument("--budget", type=int, default=10**7, help="backward-solve node budget")
+    sp.add_argument("--budget", type=int, help="backward-solve node budget")
     common(sp)
     sp.set_defaults(fn=cmd_verify)
 
@@ -321,10 +320,16 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # The reader has gone: write nothing more, not even the error report.
         sys.stdout = open(os.devnull, "w")
-        return EXIT_ERROR
-    except (BudgetExceededError, ValueError, OSError) as exc:
-        _emit({"schema": 1, "status": "error", "error": str(exc)}, getattr(args, "out", None))
-        return EXIT_ERROR
+        return EXIT_CODES["error"]
+    except Exception as exc:
+        # the types a user's input raises keep their bare message
+        known = isinstance(exc, (BudgetExceededError, ValueError, OSError))
+        report = {"schema": 1, "status": "error",
+                  "error": str(exc) if known else f"{type(exc).__name__}: {exc}"}
+        try:
+            return _emit(report, getattr(args, "out", None))
+        except OSError:  # --out itself cannot be written: report on stdout
+            return _emit(report, None)
 
 
 if __name__ == "__main__":

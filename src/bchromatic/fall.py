@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .graphs import Colouring, Graph, bits
 from .matching import perfect_matching
-from .oracles import DEFAULT_FALL_BUDGET, FallSpectrum, fall_spectrum
+from .oracles import FallSpectrum, fall_spectrum
 from .patterns import CoComponentKind, p3p1_decomposition
 from .tight import PreconditionError
 
@@ -126,7 +126,7 @@ class FallUniqueness:
     path: str  # "(P3+P1)-free" | "oracle"
 
 
-def fall_uniqueness_report(g: Graph, *, budget: int = DEFAULT_FALL_BUDGET,
+def fall_uniqueness_report(g: Graph, *, budget: int | None = None,
                            force_oracle: bool = False) -> FallUniqueness:
     """Fall spectrum by class: the polynomial solver when the co-component
     decomposition shows ``g`` is (P3+P1)-free, else the oracle within the

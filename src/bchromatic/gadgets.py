@@ -25,6 +25,7 @@ instances are byte-stable across runs.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Any
@@ -32,8 +33,8 @@ from typing import Any
 from .graphs import (Colouring, Graph, GraphError, analyze_tight,
                      disjoint_union, is_fall_colouring, is_tight_b_colouring)
 from .io import load_formula, load_graph
-from .oracles import (DEFAULT_NODE_BUDGET, DEFAULT_NP_BUDGET, BudgetExceededError,
-                      Formula33, NotCubicError, clique_number, fall_spectrum,
+from .oracles import (BudgetExceededError, Formula33, NotCubicError,
+                      clique_number, fall_spectrum,
                       min_maximal_matching_size, one_in_three_sat,
                       three_edge_colouring, tight_b_exact, b_chromatic_number)
 from .patterns import is_free, pattern_graph
@@ -409,8 +410,8 @@ def _settle(cert: ReductionCertificate, consistent: bool | None) -> None:
         cert.equivalence_status = "verified" if consistent else "structural-only"
 
 
-def _certify_cobipartite(kind: str, source: Graph, node_budget: int,
-                         backward: bool) -> ReductionCertificate:
+def _certify_cobipartite(kind: str, source: Graph, budget: int | None,
+                         node_budget: int | None, backward: bool) -> ReductionCertificate:
     inst = cobipartite_hardness_instance(source)
     checks = [("gadget union is bipartite", inst.bipartite_union.is_bipartite()),
               ("gadget union is C4-free", is_free(inst.bipartite_union, "C4")),
@@ -419,21 +420,21 @@ def _certify_cobipartite(kind: str, source: Graph, node_budget: int,
     cert = ReductionCertificate(kind, inst.graph, checks)
     if backward:
         # no asserted formula relates these two numbers; they are recorded only
-        try:
-            cert.measurements["min_maximal_matching"] = min_maximal_matching_size(source)
-        except BudgetExceededError:
-            pass
-        if inst.graph.n <= DEFAULT_NP_BUDGET:
-            cert.measurements["b_chromatic_number"] = b_chromatic_number(inst.graph)[0]
+        with suppress(BudgetExceededError):
+            cert.measurements["min_maximal_matching"] = min_maximal_matching_size(
+                source, budget=budget)
+        with suppress(BudgetExceededError):
+            cert.measurements["b_chromatic_number"] = b_chromatic_number(
+                inst.graph, budget=budget)[0]
     return cert
 
 
-def _certify_edge3col(kind: str, source: Graph, node_budget: int,
-                      backward: bool) -> ReductionCertificate:
+def _certify_edge3col(kind: str, source: Graph, budget: int | None,
+                      node_budget: int | None, backward: bool) -> ReductionCertificate:
     inst = edge3col_instance(source, kind)
     cert = ReductionCertificate(kind, inst.graph, _edge3col_structural(inst))
     forward_yes = _forward(
-        cert, lambda: three_edge_colouring(source),
+        cert, lambda: three_edge_colouring(source, budget=budget),
         lambda ec: edge_colouring_to_tight_bcolouring(inst, ec),
         lambda w: is_tight_b_colouring(inst.graph, w) and w.k == inst.advertised_colours,
         "3-edge-colouring mapped to {} colours", "source has no 3-edge-colouring")
@@ -446,8 +447,8 @@ def _certify_edge3col(kind: str, source: Graph, node_budget: int,
     return cert
 
 
-def _certify_one_in_three(kind: str, source: Formula33, node_budget: int,
-                          backward: bool) -> ReductionCertificate:
+def _certify_one_in_three(kind: str, source: Formula33, budget: int | None,
+                          node_budget: int | None, backward: bool) -> ReductionCertificate:
     inst = one_in_three_graph(source)
     checks = [("|V| == 5n", inst.g.n == 5 * source.variables),
               ("clique number 3", clique_number(inst.g) == 3)]
@@ -461,7 +462,7 @@ def _certify_one_in_three(kind: str, source: Formula33, node_budget: int,
         "1-in-3 assignment mapped to {} fall colours", "formula is not 1-in-3 satisfiable")
     if backward:
         try:
-            spectrum = fall_spectrum(inst.gbar)
+            spectrum = fall_spectrum(inst.gbar, budget=budget)
         except BudgetExceededError as exc:
             cert.backward_note = f"backward step skipped, answer unknown: {exc}"
             _settle(cert, None)
@@ -482,11 +483,14 @@ REDUCTIONS = {
 }
 
 
-def verify_reduction(kind: str, source, *, node_budget: int = DEFAULT_NODE_BUDGET,
+def verify_reduction(kind: str, source, *, budget: int | None = None,
+                     node_budget: int | None = None,
                      backward: bool = True) -> ReductionCertificate:
     """Build the named reduction instance, run its structural checks, map an
     oracle solution of the source forward through the construction, and
-    with ``backward`` solve the instance for consistency.
+    with ``backward`` solve the instance for consistency.  ``budget`` is the
+    vertex limit of every oracle run and ``node_budget`` that of the tight
+    b-colouring search; None leaves each oracle its own.
 
     A validated forward witness combined with a backward refutation marks
     the certificate inconsistent: that combination would falsify the
@@ -494,7 +498,7 @@ def verify_reduction(kind: str, source, *, node_budget: int = DEFAULT_NODE_BUDGE
     """
     if kind not in REDUCTIONS:
         raise GraphError(f"unknown reduction kind {kind!r}")
-    return REDUCTIONS[kind][1](kind, source, node_budget, backward)
+    return REDUCTIONS[kind][1](kind, source, budget, node_budget, backward)
 
 
 # frozen (3,3)-monotone formulas: a 1-in-3 satisfiable one on 3 variables and

@@ -159,9 +159,6 @@ class Graph:
     def components(self) -> list[tuple[int, ...]]:
         return [tuple(bits(m)) for m in self.component_masks()]
 
-    def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.component_masks()) == 1
-
     def is_bipartition(self) -> tuple[int, int] | None:
         """Return (left_mask, right_mask) of a 2-colouring, or None."""
         colour = [-1] * self.n
@@ -243,16 +240,6 @@ def analyze_tight(g: Graph) -> TightAnalysis:
     return TightAnalysis(m, dense, frozenset(bits(bmask)), tight)
 
 
-def outer_boundary(g: Graph, vertices: Iterable[int]) -> frozenset[int]:
-    """Neighbours of the given set that lie outside it."""
-    inside = 0
-    nb = 0
-    for v in vertices:
-        inside |= 1 << v
-        nb |= g.adj[v]
-    return frozenset(bits(nb & ~inside))
-
-
 # -- colourings ------------------------------------------------------------
 
 
@@ -277,9 +264,6 @@ class Colouring:
         if min(cols) < 1 or used != set(range(1, k + 1)):
             raise ColouringError(f"colours must be exactly 1..k, got {sorted(used)}")
         return cls(cols, k)
-
-    def colour_of(self, v: int) -> int:
-        return self.colours[v]
 
     def classes(self) -> dict[int, tuple[int, ...]]:
         out: dict[int, list[int]] = {c: [] for c in range(1, self.k + 1)}

@@ -24,16 +24,6 @@ class Matching:
     def __len__(self) -> int:
         return len(self.edges)
 
-    def covered(self) -> frozenset[int]:
-        return frozenset(v for e in self.edges for v in e)
-
-    def partner(self) -> dict[int, int]:
-        out = {}
-        for u, v in self.edges:
-            out[u] = v
-            out[v] = u
-        return out
-
 
 def check_matching(g: Graph, m: Matching) -> None:
     seen: set[int] = set()

@@ -6,11 +6,13 @@ plus exact cover for fall spectra, rainbow-neighbourhood backtracking for
 tight b-colourings, and plain DFS for 3-edge-colourings, 1-in-3
 satisfiability and minimum maximal matchings.
 
-Vertex budgets guard the calls that are exponential in n.  Graphs whose
-independence number is at most 3 get a raised budget: their colour classes
-have at most three vertices, so the chromatic number reduces to an exact
-packing of edges and triangles in the complement, and their maximal
-independent sets are the maximal cliques of the (sparse) complement.
+Vertex budgets guard the calls that are exponential in n.  Every oracle's
+``budget`` (``node_budget`` for ``tight_b_exact``) defaults to None, meaning
+the oracle's own limit; this module is the only one that knows those limits.
+Graphs whose independence number is at most 3 get a raised budget: their
+colour classes have at most three vertices, so the chromatic number reduces
+to an exact packing of edges and triangles in the complement, and their
+maximal independent sets are the maximal cliques of the (sparse) complement.
 """
 
 from __future__ import annotations
@@ -29,6 +31,19 @@ DEFAULT_NODE_BUDGET = 10**7
 
 class BudgetExceededError(Exception):
     """Input too large for the requested oracle."""
+
+
+def _past_limit(g: Graph, budget: int | None, default: int, oracle: str, *,
+                raised: bool = False) -> bool:
+    """Raise BudgetExceededError when ``g`` has more vertices than ``budget``
+    (``default`` when None).  With ``raised``, a graph of independence number
+    at most 3 is admitted up to RAISED_BUDGET instead, and True says so."""
+    limit = default if budget is None else budget
+    if g.n <= limit:
+        return False
+    if raised and g.n <= RAISED_BUDGET and independence_number(g) <= 3:
+        return True
+    raise BudgetExceededError(f"{oracle} oracle limited to n<={limit}, got n={g.n}")
 
 
 class NotTightError(GraphError):
@@ -186,13 +201,11 @@ def _small_independence_chromatic(g: Graph) -> tuple[int, Colouring]:
     return c, Colouring.from_values(colour)
 
 
-def chromatic_number(g: Graph, *, budget: int = DEFAULT_NP_BUDGET) -> tuple[int, Colouring]:
+def chromatic_number(g: Graph, *, budget: int | None = None) -> tuple[int, Colouring]:
     if g.n == 0:
         return 0, Colouring((), 0)
-    if g.n > budget:
-        if g.n <= RAISED_BUDGET and independence_number(g) <= 3:
-            return _small_independence_chromatic(g)
-        raise BudgetExceededError(f"chromatic oracle limited to n<={budget}, got n={g.n}")
+    if _past_limit(g, budget, DEFAULT_NP_BUDGET, "chromatic", raised=True):
+        return _small_independence_chromatic(g)
     lower = clique_number(g)
     for k in range(lower, g.n + 1):
         found = _exists_colouring(g, k)
@@ -221,10 +234,9 @@ def _has_b_vertex_everywhere(g: Graph, class_masks: list[int]) -> bool:
     return True
 
 
-def b_colouring_with(g: Graph, k: int, *, budget: int = DEFAULT_NP_BUDGET) -> Colouring | None:
+def b_colouring_with(g: Graph, k: int, *, budget: int | None = None) -> Colouring | None:
     """A b-colouring using exactly k colours, or None."""
-    if g.n > budget:
-        raise BudgetExceededError(f"b-colouring oracle limited to n<={budget}, got n={g.n}")
+    _past_limit(g, budget, DEFAULT_NP_BUDGET, "b-colouring")
     if k < 1 or k > g.n:
         return None
     colour = [0] * g.n
@@ -254,7 +266,7 @@ def b_colouring_with(g: Graph, k: int, *, budget: int = DEFAULT_NP_BUDGET) -> Co
     return Colouring.from_values(colour) if rec(0) else None
 
 
-def b_chromatic_number(g: Graph, *, budget: int = DEFAULT_NP_BUDGET) -> tuple[int, Colouring]:
+def b_chromatic_number(g: Graph, *, budget: int | None = None) -> tuple[int, Colouring]:
     """Largest k admitting a b-colouring with exactly k colours, searched
     top-down from the m-degree."""
     if g.n == 0:
@@ -276,7 +288,7 @@ class TightSearch:
     nodes: int
 
 
-def tight_b_exact(g: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET) -> TightSearch:
+def tight_b_exact(g: Graph, *, node_budget: int | None = None) -> TightSearch:
     """Decide whether a tight graph has a b-colouring with m(G) colours.
 
     The dense vertices get the colours 1..m in index order (any tight
@@ -287,6 +299,8 @@ def tight_b_exact(g: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET) -> TightS
     the most constrained vertex first.  "inconclusive" is reported when the
     node budget runs out and is distinct from "absent".
     """
+    if node_budget is None:
+        node_budget = DEFAULT_NODE_BUDGET
     info = analyze_tight(g)
     if not info.is_tight:
         raise NotTightError("tight b-colouring search needs a tight input graph")
@@ -376,17 +390,12 @@ class FallSpectrum:
     def __contains__(self, k: int) -> bool:
         return k in self.values
 
-    def is_empty(self) -> bool:
-        return not self.values
 
-
-def fall_spectrum(g: Graph, *, budget: int = DEFAULT_FALL_BUDGET) -> FallSpectrum:
+def fall_spectrum(g: Graph, *, budget: int | None = None) -> FallSpectrum:
     """All k admitting a partition of V into k maximal independent sets."""
     if g.n == 0:
         return FallSpectrum(())
-    if g.n > budget:
-        if not (g.n <= RAISED_BUDGET and independence_number(g) <= 3):
-            raise BudgetExceededError(f"fall oracle limited to n<={budget}, got n={g.n}")
+    _past_limit(g, budget, DEFAULT_FALL_BUDGET, "fall", raised=True)
     sets = maximal_independent_sets(g)
     by_lowest: dict[int, list[int]] = {}
     for s in sets:
@@ -421,12 +430,11 @@ def fall_spectrum(g: Graph, *, budget: int = DEFAULT_FALL_BUDGET) -> FallSpectru
 # -- 3-edge-colouring ------------------------------------------------------------
 
 
-def three_edge_colouring(g: Graph, *, budget: int = DEFAULT_NP_BUDGET) -> dict[tuple[int, int], int] | None:
+def three_edge_colouring(g: Graph, *, budget: int | None = None) -> dict[tuple[int, int], int] | None:
     """Proper 3-edge-colouring of a cubic graph, or None."""
     if any(g.degree(v) != 3 for v in range(g.n)):
         raise NotCubicError("3-edge-colouring oracle expects a cubic graph")
-    if g.n > budget:
-        raise BudgetExceededError(f"edge-colouring oracle limited to n<={budget}, got n={g.n}")
+    _past_limit(g, budget, DEFAULT_NP_BUDGET, "edge-colouring")
     edges = g.edges()
     at_vertex: dict[int, list[int]] = {v: [] for v in range(g.n)}
     for i, (u, v) in enumerate(edges):
@@ -513,10 +521,9 @@ def one_in_three_sat(f: Formula33) -> tuple[bool, ...] | None:
 # -- minimum maximal matching -------------------------------------------------------
 
 
-def min_maximal_matching_size(g: Graph, *, budget: int = DEFAULT_NP_BUDGET) -> int:
+def min_maximal_matching_size(g: Graph, *, budget: int | None = None) -> int:
     """Smallest cardinality of a maximal matching (exhaustive with pruning)."""
-    if g.n > budget:
-        raise BudgetExceededError(f"matching oracle limited to n<={budget}, got n={g.n}")
+    _past_limit(g, budget, DEFAULT_NP_BUDGET, "matching")
     edges = g.edges()
     best = len(edges) + 1
 

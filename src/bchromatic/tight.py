@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from .graphs import (Colouring, Graph, GraphError, TightAnalysis,
                      analyze_tight, bits)
 from .matching import max_bipartite_matching
-from .oracles import DEFAULT_NODE_BUDGET, NotTightError, tight_b_exact
+from .oracles import NotTightError, tight_b_exact
 from .patterns import CoComponentKind, is_free, is_union_of_cliques, p3p1_decomposition
 
 
@@ -349,7 +349,7 @@ class TightSolve:
     nodes: int | None  # oracle search nodes; None on the polynomial paths
 
 
-def solve_tight(g: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET,
+def solve_tight(g: Graph, *, node_budget: int | None = None,
                 force_oracle: bool = False) -> TightSolve:
     """Tight b-colouring by class: the (2P2+P1)-free solver, else the
     (P3+P1)-free solver, else the exact oracle within ``node_budget``.

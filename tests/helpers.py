@@ -308,3 +308,9 @@ def footnote_graph() -> Graph:
     """Join of an edgeless pair with (K3 + isolated vertex): tight with
     m = 5 but no b-colouring with five colours."""
     return complete_join(Graph.empty(2), disjoint_union(pattern_graph("K3"), Graph.empty(1)))
+
+
+def circular_ladder(rungs: int) -> Graph:
+    """The prism over the cycle C_rungs: a cubic graph on 2*rungs vertices."""
+    return Graph.from_edges(2 * rungs, [e for i in range(rungs) for e in (
+        (i, (i + 1) % rungs), (rungs + i, rungs + (i + 1) % rungs), (i, rungs + i))])

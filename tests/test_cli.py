@@ -11,7 +11,7 @@ from bchromatic.io import graph_digest, parse_dimacs, write_dimacs, write_formul
 from bchromatic.oracles import Formula33
 from bchromatic.patterns import pattern_graph
 
-from helpers import footnote_graph
+from helpers import circular_ladder, footnote_graph
 
 
 @pytest.fixture
@@ -194,9 +194,33 @@ def test_reduction_over_the_forward_oracle_limit(files, capsys):
     assert all(rep["structural_checks"].values())
 
 
+@pytest.mark.parametrize("command", ["gadget", "verify"])
+def test_reduction_under_oracle_budget(files, capsys, monkeypatch, command):
+    """``ORACLE_BUDGET`` reaches the forward oracle of gadget and verify: at
+    20 it admits CL9's 18 vertices, as it does for ``oracle edge3col``."""
+    src = files["dir"] / "cl9.col"
+    src.write_text(write_dimacs(circular_ladder(9)))
+    monkeypatch.setenv("ORACLE_BUDGET", "20")
+    if command == "gadget":
+        argv = ["--out", str(files["dir"] / "cl9-gadget")]
+    else:
+        argv = ["--budget", "1000"]
+    code, rep = run(capsys, command, "edge3col", str(src), *argv)
+    assert code == 0 and rep["status"] == "ok"
+    assert rep["forward_witness"]["k"] == 21
+    if command == "verify":
+        assert rep["equivalence"] == "verified" and not rep["inconsistent"]
+
+
 def test_error_exit_code(files, capsys):
     code, rep = run(capsys, "analyze", str(files["dir"] / "missing.col"))
     assert code == 3 and rep["status"] == "error"
+
+
+def test_unwritable_out_reports_on_stdout(files, capsys):
+    out = files["dir"] / "missing" / "report.json"
+    code, rep = run(capsys, "analyze", files["c3"], "--out", str(out))
+    assert code == 3 and rep["status"] == "error" and str(out) in rep["error"]
 
 
 def test_oracle_budget_env(files, capsys, monkeypatch):
@@ -303,3 +327,17 @@ def test_one_in_three_over_the_fall_oracle_limit(files, capsys):
     assert rep["equivalence"] == "inconclusive" and not rep["inconsistent"]
     assert "n<=14" in rep["backward"] and rep["measurements"] == {}
     assert all(rep["structural_checks"].values())
+
+
+def test_unexpected_exception_is_a_json_error(files, capsys):
+    """The tight b-colouring search recurses once per uncoloured vertex, so
+    the edge3col instance of CL120 (1329 vertices) raises RecursionError;
+    the CLI reports it as one JSON error, with no traceback."""
+    from bchromatic.gadgets import edge3col_instance
+    src = files["dir"] / "cl120-edge3col.col"
+    src.write_text(write_dimacs(edge3col_instance(circular_ladder(120)).graph))
+    code = main(["oracle", "tightb", str(src)])
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    assert code == 3 and rep["status"] == "error" and err == ""
+    assert rep["error"].startswith("RecursionError: ")
