@@ -13,6 +13,7 @@ b-colouring search and keeps that oracle's default of 10^7 when omitted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -165,8 +166,8 @@ def cmd_oracle(args) -> int:
         f = load_formula(args.path)
         assignment = one_in_three_sat(f)
         value = assignment is not None
-        witness = list(assignment) if assignment else None
-        status = "ok" if assignment else "no"
+        witness = None if assignment is None else list(assignment)
+        status = "ok" if value else "no"
     else:
         g = load_graph(args.path)
         rep["digest"] = graph_digest(g)
@@ -190,8 +191,8 @@ def cmd_oracle(args) -> int:
         elif args.which == "edge3col":
             ec = three_edge_colouring(g, budget=budget)
             value = ec is not None
-            witness = {f"{u},{v}": c for (u, v), c in sorted(ec.items())} if ec else None
-            status = "ok" if ec else "no"
+            witness = None if ec is None else {f"{u},{v}": c for (u, v), c in sorted(ec.items())}
+            status = "ok" if value else "no"
         elif args.which == "mmm":
             value = min_maximal_matching_size(g, budget=budget)
     rep.update({"status": status, "value": value, "witness": witness,
@@ -244,7 +245,11 @@ def cmd_show(args) -> int:
     return EXIT_CODES["ok"]
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser tree, built once per process and shared by every call:
+    parsing keeps no state in it, and building it costs more than most
+    commands' own work.  Callers must not change it."""
     p = argparse.ArgumentParser(prog="bchromatic",
                                 description="exact b-, tight b- and fall colouring toolkit")
     p.add_argument("--version", action="version", version=__version__)
@@ -256,32 +261,27 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("analyze", help="m-degree, dense set, boundary, tightness, co-components")
     sp.add_argument("path")
     common(sp)
-    sp.set_defaults(fn=cmd_analyze)
 
     sp = sub.add_parser("tightb", help="tight b-colouring (class dispatch, oracle fallback)")
     sp.add_argument("path")
     sp.add_argument("--force-oracle", action="store_true")
     sp.add_argument("--budget", type=int, help="oracle node budget")
     common(sp)
-    sp.set_defaults(fn=cmd_tightb)
 
     sp = sub.add_parser("fall", help="fall spectrum (polynomial class or oracle)")
     sp.add_argument("path")
     sp.add_argument("--force-oracle", action="store_true")
     common(sp)
-    sp.set_defaults(fn=cmd_fall)
 
     sp = sub.add_parser("classify", help="complexity verdict for H-free inputs, H given as a graph file")
     sp.add_argument("path")
     sp.add_argument("--problem", choices=("b", "tightb", "fall"), required=True)
     common(sp)
-    sp.set_defaults(fn=cmd_classify)
 
     sp = sub.add_parser("hfree", help="induced-pattern check")
     sp.add_argument("path")
     sp.add_argument("--pattern", required=True)
     common(sp)
-    sp.set_defaults(fn=cmd_hfree)
 
     sp = sub.add_parser("oracle", help="exact exponential solvers")
     sp.add_argument("which", choices=("chromatic", "bchromatic", "tightb", "fall",
@@ -289,26 +289,22 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("path")
     sp.add_argument("--budget", type=int, help="node budget for tightb")
     common(sp)
-    sp.set_defaults(fn=cmd_oracle)
 
     sp = sub.add_parser("gadget", help="emit a hardness instance as DIMACS plus a JSON certificate")
     sp.add_argument("kind", choices=tuple(REDUCTIONS))
     sp.add_argument("path")
     sp.add_argument("--out", dest="out_prefix",
                     help="output prefix (writes PREFIX.col and PREFIX.json)")
-    sp.set_defaults(fn=cmd_gadget)
 
     sp = sub.add_parser("verify", help="re-run structural checks and both oracle directions")
     sp.add_argument("kind", choices=tuple(REDUCTIONS))
     sp.add_argument("path")
     sp.add_argument("--budget", type=int, help="backward-solve node budget")
     common(sp)
-    sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("show", help="print a named family graph as DIMACS")
     sp.add_argument("name")
     sp.add_argument("n", type=int, nargs="?", default=0)
-    sp.set_defaults(fn=cmd_show)
 
     return p
 
@@ -316,7 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # looked up per call, not kept in the cached parser, so a cmd_*
+        # function replaced after the first call is the one that runs
+        return globals()[f"cmd_{args.cmd}"](args)
     except BrokenPipeError:
         # The reader has gone: write nothing more, not even the error report.
         sys.stdout = open(os.devnull, "w")

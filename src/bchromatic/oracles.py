@@ -3,8 +3,9 @@
 Everything here is exhaustive search with pruning: partition backtracking
 for chromatic and b-chromatic numbers, maximal-independent-set enumeration
 plus exact cover for fall spectra, rainbow-neighbourhood backtracking for
-tight b-colourings, and plain DFS for 3-edge-colourings, 1-in-3
-satisfiability and minimum maximal matchings.
+tight b-colourings, plain DFS for 3-edge-colourings and 1-in-3
+satisfiability, and minimal-vertex-cover enumeration plus blossom matching
+for minimum maximal matchings.
 
 Vertex budgets guard the calls that are exponential in n.  Every oracle's
 ``budget`` (``node_budget`` for ``tight_b_exact``) defaults to None, meaning
@@ -522,26 +523,32 @@ def one_in_three_sat(f: Formula33) -> tuple[bool, ...] | None:
 
 
 def min_maximal_matching_size(g: Graph, *, budget: int | None = None) -> int:
-    """Smallest cardinality of a maximal matching (exhaustive with pruning)."""
+    """Smallest cardinality of a maximal matching.
+
+    It equals the smallest edge dominating set (Yannakakis & Gavril 1980),
+    which is the least cost |C| - nu(G[C]) over the minimal vertex covers C,
+    nu being the maximum matching size (Fernau 2006):
+    - for an edge dominating set D, the endpoints V(D) form a vertex cover
+      and D is an edge cover of G[V(D)], so |D| >= |V(D)| - nu(G[V(D)])
+      (Gallai); conversely a maximum matching of G[C] plus one edge from each
+      unmatched vertex of a minimal cover C to a neighbour outside C
+      dominates every edge;
+    - adding a vertex to C adds 1 to |C| and at most 1 to nu, so the cost
+      only grows on supersets and the least is reached at a minimal cover.
+    The minimal covers are the complements of the maximal independent sets
+    (at most 3^(n/3) of them, Moon & Moser).  They are taken by increasing
+    size, and the loop stops once ceil(|C|/2), a lower bound on the cost of
+    a cover, reaches the best cost found.
+    """
     _past_limit(g, budget, DEFAULT_NP_BUDGET, "matching")
-    edges = g.edges()
-    best = len(edges) + 1
-
-    def maximal(used: int) -> bool:
-        return all(((used >> u) & 1) or ((used >> v) & 1) for u, v in edges)
-
-    def rec(i: int, used: int, size: int) -> None:
-        nonlocal best
-        if size >= best:
-            return
-        if i == len(edges):
-            if maximal(used):
-                best = min(best, size)
-            return
-        u, v = edges[i]
-        if not ((used >> u) & 1) and not ((used >> v) & 1):
-            rec(i + 1, used | (1 << u) | (1 << v), size + 1)
-        rec(i + 1, used, size)
-
-    rec(0, 0, 0)
-    return 0 if not edges else best
+    if not g.edge_count():
+        return 0
+    full = g.full_mask()
+    covers = sorted((full & ~s for s in maximal_independent_sets(g)), key=int.bit_count)
+    best = g.n
+    for cover in covers:
+        size = cover.bit_count()
+        if (size + 1) // 2 >= best:
+            break
+        best = min(best, size - len(maximum_matching(g.subgraph(bits(cover)))))
+    return best

@@ -45,6 +45,27 @@ def brute_max_matching_size(g: Graph) -> int:
     return best
 
 
+def brute_min_maximal_matching_size(g: Graph) -> int:
+    """Every matching, grown edge by edge in index order; the smallest one
+    that leaves no edge with both ends free."""
+    edges = g.edges()
+    best = len(edges)
+
+    def rec(i: int, used: int, k: int) -> None:
+        nonlocal best
+        if i == len(edges):
+            if all((used >> u) & 1 or (used >> v) & 1 for u, v in edges):
+                best = min(best, k)
+            return
+        u, v = edges[i]
+        if not ((used >> u) & 1) and not ((used >> v) & 1):
+            rec(i + 1, used | (1 << u) | (1 << v), k + 1)
+        rec(i + 1, used, k)
+
+    rec(0, 0, 0)
+    return best
+
+
 def is_isomorphic(a: Graph, b: Graph) -> bool:
     from bchromatic.patterns import contains_induced
     return a.n == b.n and a.edge_count() == b.edge_count() \

@@ -341,3 +341,54 @@ def test_unexpected_exception_is_a_json_error(files, capsys):
     rep = json.loads(out)
     assert code == 3 and rep["status"] == "error" and err == ""
     assert rep["error"].startswith("RecursionError: ")
+
+
+def test_oracle_vacuous_witnesses_are_ok(files, capsys):
+    """The 0-vertex graph is cubic with the empty 3-edge-colouring, and the
+    0-variable formula is satisfied by the empty assignment: both are yes
+    answers whose witness is empty, not "no"."""
+    src = files["dir"] / "empty.col"
+    src.write_text(write_dimacs(Graph.empty(0)))
+    code, rep = run(capsys, "oracle", "edge3col", str(src))
+    assert code == 0 and rep["status"] == "ok"
+    assert rep["value"] is True and rep["witness"] == {}
+    formula = files["dir"] / "f0.cnf13"
+    formula.write_text(write_formula(Formula33(0, ())))
+    code, rep = run(capsys, "oracle", "13sat", str(formula))
+    assert code == 0 and rep["status"] == "ok"
+    assert rep["value"] is True and rep["witness"] == []
+
+
+def test_cached_parser_keeps_no_state_between_calls(files, capsys, monkeypatch):
+    """Calls in one process that differ only in options report exactly what
+    a fresh process reports; the parser is built once, and a command
+    function replaced after it was built is the one that runs."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import bchromatic.cli
+
+    assert build_parser() is build_parser()
+    src = files["dir"] / "k4-3k2.col"
+    src.write_text(write_dimacs(pattern_graph("K4+3P2")))
+    env = dict(os.environ, PYTHONPATH=str(Path(bchromatic.__file__).parent.parent))
+    argvs = [["tightb", str(src), "--force-oracle"], ["tightb", str(src)],
+             ["oracle", "tightb", str(src), "--budget", "5"], ["oracle", "tightb", str(src)]]
+    seen = []
+    for argv in argvs:
+        code, rep = run(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "bchromatic.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        expected = json.loads(fresh.stdout)
+        rep.pop("timing_ms")
+        expected.pop("timing_ms")
+        assert (code, rep) == (fresh.returncode, expected)
+        seen.append((rep.get("path"), rep["status"]))
+    # the options took effect: these four reports all differ
+    assert seen == [("oracle", "ok"), ("(P3+P1)-free", "ok"),
+                    (None, "inconclusive"), (None, "ok")]
+    shown = []
+    monkeypatch.setattr(bchromatic.cli, "cmd_show", lambda args: shown.append(args.name) or 0)
+    assert main(["show", "petersen"]) == 0 and shown == ["petersen"]

@@ -18,8 +18,9 @@ from bchromatic.oracles import (BudgetExceededError, Formula33, FormulaError,
                                 three_edge_colouring, tight_b_exact)
 from bchromatic.patterns import pattern_graph
 
-from helpers import (all_graphs, footnote_graph, naive_fall_spectrum,
-                     naive_tight_b_colourings, random_graph)
+from helpers import (all_graphs, all_graphs_up_to, brute_min_maximal_matching_size,
+                     footnote_graph, naive_fall_spectrum, naive_tight_b_colourings,
+                     random_graph)
 
 
 def test_chromatic_examples():
@@ -165,6 +166,20 @@ def test_min_maximal_matching():
     assert min_maximal_matching_size(pattern_graph("K4")) == 2
     assert min_maximal_matching_size(pattern_graph("C6")) == 2
     assert min_maximal_matching_size(pattern_graph("3P1")) == 0
+
+
+def test_min_maximal_matching_against_brute_force():
+    """The minimal-vertex-cover route agrees with enumerating every matching
+    on all graphs with at most 6 vertices and on random ones with 7 to 10."""
+    for g in all_graphs_up_to(6):
+        assert min_maximal_matching_size(g) == brute_min_maximal_matching_size(g), g
+    rng = random.Random(17)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(7, 10), rng.random())
+        assert min_maximal_matching_size(g) == brute_min_maximal_matching_size(g), g
+    assert min_maximal_matching_size(Graph.empty(0)) == 0
+    with pytest.raises(BudgetExceededError, match=r"^matching oracle limited to n<=16, got n=17$"):
+        min_maximal_matching_size(pattern_graph("P17"))
 
 
 def test_observation_bounds_exhaustive_small():
