@@ -9,8 +9,7 @@ from .graphs import (Colouring, Graph, TightAnalysis, analyze_tight,
                      co_components, complete_join, disjoint_union,
                      is_b_colouring, is_fall_colouring, is_tight_b_colouring,
                      m_degree)
-from .matching import (Matching, max_bipartite_matching, maximum_matching,
-                       perfect_matching)
+from .matching import Matching, maximum_matching, perfect_matching
 from .oracles import (FallSpectrum, Formula33, b_chromatic_number,
                       b_colouring_with, chromatic_number, fall_spectrum,
                       min_maximal_matching_size, one_in_three_sat,

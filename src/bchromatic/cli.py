@@ -5,9 +5,10 @@ order, either to stdout or to ``--out``.  Exit codes: 0 for ok/yes answers,
 1 for proven "no", 2 for inconclusive, 3 for errors; any failure is one JSON
 error report with exit 3.  The only environment override is
 ``ORACLE_BUDGET``, a vertex limit that ``oracle``, ``fall``, ``gadget`` and
-``verify`` pass to every exponential oracle they run; unset, each oracle
-keeps its own limit.  ``--budget`` is the node budget of the tight
-b-colouring search and keeps that oracle's default of 10^7 when omitted.
+``verify`` pass to every exponential oracle they run (for the 1-in-3 oracle
+it limits the formula's variables); unset, each oracle keeps its own limit.
+``--budget`` is the node budget of the tight b-colouring search and keeps
+that oracle's default of 10^7 when omitted.
 """
 
 from __future__ import annotations
@@ -162,16 +163,16 @@ def cmd_oracle(args) -> int:
     rep = {"schema": 1, "command": f"oracle {args.which}", "input": args.path}
     t0 = time.perf_counter()
     status, value, witness, nodes = "ok", None, None, None
+    budget = _oracle_budget()
     if args.which == "13sat":
         f = load_formula(args.path)
-        assignment = one_in_three_sat(f)
+        assignment = one_in_three_sat(f, budget=budget)
         value = assignment is not None
         witness = None if assignment is None else list(assignment)
         status = "ok" if value else "no"
     else:
         g = load_graph(args.path)
         rep["digest"] = graph_digest(g)
-        budget = _oracle_budget()
         if args.which == "chromatic":
             value, col = chromatic_number(g, budget=budget)
             witness = _witness(col)

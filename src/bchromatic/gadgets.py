@@ -456,7 +456,7 @@ def _certify_one_in_three(kind: str, source: Formula33, budget: int | None,
                for name in ("C5", "2P2", "P2+2P1", "4P1")]
     cert = ReductionCertificate(kind, inst.gbar, checks)
     forward_yes = _forward(
-        cert, lambda: one_in_three_sat(source),
+        cert, lambda: one_in_three_sat(source, budget=budget),
         lambda assignment: assignment_to_fall_colouring(inst, assignment),
         lambda w: w.k == inst.target and is_fall_colouring(inst.gbar, w),
         "1-in-3 assignment mapped to {} fall colours", "formula is not 1-in-3 satisfiable")

@@ -22,7 +22,7 @@ Colouring vocabulary used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
@@ -52,22 +52,10 @@ def bits(mask: int) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple graph on vertices 0..n-1 with bitmask adjacency.
-
-    ``labels`` is an optional display-only side table; no algorithm reads
-    it, and derived graphs (complements, subgraphs, unions) drop it.
-    """
+    """Immutable simple graph on vertices 0..n-1 with bitmask adjacency."""
 
     n: int
     adj: tuple[int, ...]
-    labels: tuple[str, ...] | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        if self.labels is not None and len(self.labels) != self.n:
-            raise GraphError("label table must have one entry per vertex")
-
-    def with_labels(self, labels: Iterable[str]) -> "Graph":
-        return Graph(self.n, self.adj, tuple(labels))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -159,8 +147,8 @@ class Graph:
     def components(self) -> list[tuple[int, ...]]:
         return [tuple(bits(m)) for m in self.component_masks()]
 
-    def is_bipartition(self) -> tuple[int, int] | None:
-        """Return (left_mask, right_mask) of a 2-colouring, or None."""
+    def is_bipartite(self) -> bool:
+        """Whether the graph has a proper 2-colouring."""
         colour = [-1] * self.n
         for s in range(self.n):
             if colour[s] != -1:
@@ -174,12 +162,8 @@ class Graph:
                         colour[w] = colour[u] ^ 1
                         stack.append(w)
                     elif colour[w] == colour[u]:
-                        return None
-        left = sum(1 << v for v in range(self.n) if colour[v] == 0)
-        return left, self.full_mask() & ~left
-
-    def is_bipartite(self) -> bool:
-        return self.is_bipartition() is not None
+                        return False
+        return True
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:

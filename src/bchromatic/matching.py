@@ -1,10 +1,10 @@
-"""Maximum matching: augmenting paths on bipartite graphs and Edmonds'
-blossom contraction on general graphs.
+"""Maximum matching by Edmonds' blossom contraction.
 
-The bipartite matcher feeds the precolouring-extension test (the auxiliary
-graph built there is bipartite by construction); the general matcher is
-needed for perfect matchings in complements, which are usually not
-bipartite.  Both scan vertices in index order so results are reproducible.
+One matcher serves every caller: the precolouring-extension test asks it
+for a perfect matching of its (bipartite) auxiliary graph, and the fall
+solver and the chromatic and matching oracles need matchings in complements
+and vertex covers, which are usually not bipartite.  It scans vertices in index order so results are
+reproducible.
 """
 
 from __future__ import annotations
@@ -37,41 +37,6 @@ def check_matching(g: Graph, m: Matching) -> None:
 
 def _matching_from_partner(match: list[int]) -> Matching:
     return Matching(frozenset((u, match[u]) for u in range(len(match)) if match[u] > u))
-
-
-def max_bipartite_matching(g: Graph, left: frozenset[int] | set[int],
-                           right: frozenset[int] | set[int]) -> Matching:
-    """Maximum matching of a bipartite graph given its bipartition.
-
-    Raises GraphError unless left and right partition the vertex set and
-    every edge crosses the partition.
-    """
-    left = frozenset(left)
-    right = frozenset(right)
-    if left & right or left | right != set(g.vertices()):
-        raise GraphError("left and right must partition the vertex set")
-    lmask = sum(1 << v for v in left)
-    for u in left:
-        if g.adj[u] & lmask:
-            raise GraphError("edge inside the left class: graph is not bipartitioned as given")
-
-    match = [-1] * g.n
-
-    def try_augment(u: int, visited: set[int]) -> bool:
-        for w in bits(g.adj[u]):
-            if w in visited:
-                continue
-            visited.add(w)
-            if match[w] == -1 or try_augment(match[w], visited):
-                match[u] = w
-                match[w] = u
-                return True
-        return False
-
-    for u in sorted(left):
-        if match[u] == -1:
-            try_augment(u, set())
-    return _matching_from_partner(match)
 
 
 def maximum_matching(g: Graph) -> Matching:

@@ -7,7 +7,8 @@ tight b-colourings, plain DFS for 3-edge-colourings and 1-in-3
 satisfiability, and minimal-vertex-cover enumeration plus blossom matching
 for minimum maximal matchings.
 
-Vertex budgets guard the calls that are exponential in n.  Every oracle's
+Vertex budgets guard the calls that are exponential in n (for 1-in-3
+satisfiability, n counts the formula's variables).  Every oracle's
 ``budget`` (``node_budget`` for ``tight_b_exact``) defaults to None, meaning
 the oracle's own limit; this module is the only one that knows those limits.
 Graphs whose independence number is at most 3 get a raised budget: their
@@ -26,6 +27,8 @@ from .matching import maximum_matching
 
 DEFAULT_NP_BUDGET = 16
 DEFAULT_FALL_BUDGET = 14
+# variables, not vertices: the 1-in-3 search time about doubles every 3 of them
+DEFAULT_SAT_BUDGET = 30
 RAISED_BUDGET = 32
 DEFAULT_NODE_BUDGET = 10**7
 
@@ -34,17 +37,18 @@ class BudgetExceededError(Exception):
     """Input too large for the requested oracle."""
 
 
-def _past_limit(g: Graph, budget: int | None, default: int, oracle: str, *,
-                raised: bool = False) -> bool:
-    """Raise BudgetExceededError when ``g`` has more vertices than ``budget``
-    (``default`` when None).  With ``raised``, a graph of independence number
-    at most 3 is admitted up to RAISED_BUDGET instead, and True says so."""
+def _past_limit(n: int, budget: int | None, default: int, oracle: str, *,
+                raised: Graph | None = None) -> bool:
+    """Raise BudgetExceededError when the input has more than ``budget``
+    vertices or variables, ``n`` of them (``default`` when None).  A graph
+    ``raised`` of independence number at most 3 is admitted up to
+    RAISED_BUDGET instead, and True says so."""
     limit = default if budget is None else budget
-    if g.n <= limit:
+    if n <= limit:
         return False
-    if raised and g.n <= RAISED_BUDGET and independence_number(g) <= 3:
+    if raised is not None and n <= RAISED_BUDGET and independence_number(raised) <= 3:
         return True
-    raise BudgetExceededError(f"{oracle} oracle limited to n<={limit}, got n={g.n}")
+    raise BudgetExceededError(f"{oracle} oracle limited to n<={limit}, got n={n}")
 
 
 class NotTightError(GraphError):
@@ -66,15 +70,16 @@ def clique_number(g: Graph) -> int:
     best = 0
 
     def rec(cand: int, size: int) -> None:
+        # only the include branch recurses; the exclude branch loops, so the
+        # depth is at most the clique size + 1
         nonlocal best
-        if size + cand.bit_count() <= best:
-            return
-        if not cand:
-            best = max(best, size)
-            return
-        v = (cand & -cand).bit_length() - 1
-        rec(cand & g.adj[v], size + 1)
-        rec(cand & ~(1 << v), size)
+        while size + cand.bit_count() > best:
+            if not cand:
+                best = size
+                return
+            v = (cand & -cand).bit_length() - 1
+            rec(cand & g.adj[v], size + 1)
+            cand &= ~(1 << v)
 
     rec(g.full_mask(), 0)
     return best
@@ -205,7 +210,7 @@ def _small_independence_chromatic(g: Graph) -> tuple[int, Colouring]:
 def chromatic_number(g: Graph, *, budget: int | None = None) -> tuple[int, Colouring]:
     if g.n == 0:
         return 0, Colouring((), 0)
-    if _past_limit(g, budget, DEFAULT_NP_BUDGET, "chromatic", raised=True):
+    if _past_limit(g.n, budget, DEFAULT_NP_BUDGET, "chromatic", raised=g):
         return _small_independence_chromatic(g)
     lower = clique_number(g)
     for k in range(lower, g.n + 1):
@@ -237,7 +242,7 @@ def _has_b_vertex_everywhere(g: Graph, class_masks: list[int]) -> bool:
 
 def b_colouring_with(g: Graph, k: int, *, budget: int | None = None) -> Colouring | None:
     """A b-colouring using exactly k colours, or None."""
-    _past_limit(g, budget, DEFAULT_NP_BUDGET, "b-colouring")
+    _past_limit(g.n, budget, DEFAULT_NP_BUDGET, "b-colouring")
     if k < 1 or k > g.n:
         return None
     colour = [0] * g.n
@@ -396,7 +401,7 @@ def fall_spectrum(g: Graph, *, budget: int | None = None) -> FallSpectrum:
     """All k admitting a partition of V into k maximal independent sets."""
     if g.n == 0:
         return FallSpectrum(())
-    _past_limit(g, budget, DEFAULT_FALL_BUDGET, "fall", raised=True)
+    _past_limit(g.n, budget, DEFAULT_FALL_BUDGET, "fall", raised=g)
     sets = maximal_independent_sets(g)
     by_lowest: dict[int, list[int]] = {}
     for s in sets:
@@ -435,7 +440,7 @@ def three_edge_colouring(g: Graph, *, budget: int | None = None) -> dict[tuple[i
     """Proper 3-edge-colouring of a cubic graph, or None."""
     if any(g.degree(v) != 3 for v in range(g.n)):
         raise NotCubicError("3-edge-colouring oracle expects a cubic graph")
-    _past_limit(g, budget, DEFAULT_NP_BUDGET, "edge-colouring")
+    _past_limit(g.n, budget, DEFAULT_NP_BUDGET, "edge-colouring")
     edges = g.edges()
     at_vertex: dict[int, list[int]] = {v: [] for v in range(g.n)}
     for i, (u, v) in enumerate(edges):
@@ -487,9 +492,10 @@ class Formula33:
             raise FormulaError("every variable must occur in exactly three clauses")
 
 
-def one_in_three_sat(f: Formula33) -> tuple[bool, ...] | None:
+def one_in_three_sat(f: Formula33, *, budget: int | None = None) -> tuple[bool, ...] | None:
     """Assignment making exactly one variable per clause true, or None."""
     n = f.variables
+    _past_limit(n, budget, DEFAULT_SAT_BUDGET, "1-in-3")
     value: list[bool | None] = [None] * n
 
     def clause_state(cl) -> tuple[int, int]:
@@ -540,7 +546,7 @@ def min_maximal_matching_size(g: Graph, *, budget: int | None = None) -> int:
     size, and the loop stops once ceil(|C|/2), a lower bound on the cost of
     a cover, reaches the best cost found.
     """
-    _past_limit(g, budget, DEFAULT_NP_BUDGET, "matching")
+    _past_limit(g.n, budget, DEFAULT_NP_BUDGET, "matching")
     if not g.edge_count():
         return 0
     full = g.full_mask()

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from .graphs import (Colouring, Graph, GraphError, TightAnalysis,
                      analyze_tight, bits)
-from .matching import max_bipartite_matching
+from .matching import perfect_matching
 from .oracles import NotTightError, tight_b_exact
 from .patterns import CoComponentKind, is_free, is_union_of_cliques, p3p1_decomposition
 
@@ -177,13 +177,10 @@ def extend_partial(p: PartialBColouring) -> Colouring | None:
             if g.adj[u] & g.adj[w] & (t2t_mask & ~(1 << u)):
                 continue
             aux_edges.append((i, len(t2) + j))
-    aux = Graph.from_edges(len(t2) + len(s), aux_edges)
-    matching = max_bipartite_matching(aux, set(range(len(t2))), set(range(len(t2), aux.n)))
-    if len(matching) != len(t2):
+    matching = perfect_matching(Graph.from_edges(len(t2) + len(s), aux_edges))
+    if matching is None:
         return None
-    for a, b in matching.edges:
-        if a > b:
-            a, b = b, a
+    for a, b in matching.edges:  # a < b: a indexes T2, b the boundary
         colour[s[b - len(t2)]] = colour[t2[a]]
     _greedy_complete(g, colour, m)
     return Colouring.from_values(colour)

@@ -12,6 +12,7 @@ import random
 from bchromatic.graphs import (Colouring, Graph, analyze_tight, bits,
                                complete_join, disjoint_union,
                                is_fall_colouring, proper_violation)
+from bchromatic.oracles import Formula33
 from bchromatic.patterns import is_free, pattern_graph
 
 
@@ -335,3 +336,9 @@ def circular_ladder(rungs: int) -> Graph:
     """The prism over the cycle C_rungs: a cubic graph on 2*rungs vertices."""
     return Graph.from_edges(2 * rungs, [e for i in range(rungs) for e in (
         (i, (i + 1) % rungs), (rungs + i, rungs + (i + 1) % rungs), (i, rungs + i))])
+
+
+def cyclic_formula(variables: int) -> Formula33:
+    """The (3,3)-formula with clauses (i, i+1, i+2) mod ``variables``."""
+    return Formula33(variables, tuple((i, (i + 1) % variables, (i + 2) % variables)
+                                      for i in range(variables)))

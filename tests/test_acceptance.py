@@ -14,10 +14,10 @@ from bchromatic.gadgets import (EDGE3COL_VARIANTS, FORMULA_N3_SATISFIABLE,
                                 edge3col_instance,
                                 edge_colouring_to_tight_bcolouring,
                                 one_in_three_graph, petersen_graph, prism_graph)
-from bchromatic.graphs import (Graph, analyze_tight, bits, is_b_colouring,
+from bchromatic.graphs import (Graph, analyze_tight, is_b_colouring,
                                is_fall_colouring, is_tight_b_colouring,
                                m_degree, proper_violation)
-from bchromatic.matching import max_bipartite_matching, maximum_matching
+from bchromatic.matching import maximum_matching
 from bchromatic.oracles import (b_chromatic_number, chromatic_number,
                                 fall_spectrum, three_edge_colouring,
                                 tight_b_exact)
@@ -339,12 +339,6 @@ def test_criterion_8_matching_module():
         bf = brute_max_matching_size(g)
         if len(maximum_matching(g)) != bf:
             bad += 1
-            continue
-        bip = g.is_bipartition()
-        if bip is not None:
-            left, right = (set(bits(side)) for side in bip)
-            if len(max_bipartite_matching(g, left, right)) != bf:
-                bad += 1
     for _ in range(1000):
         g = random_graph(rng, rng.randint(7, 9), rng.random())
         count += 1

@@ -11,7 +11,7 @@ from bchromatic.io import graph_digest, parse_dimacs, write_dimacs, write_formul
 from bchromatic.oracles import Formula33
 from bchromatic.patterns import pattern_graph
 
-from helpers import circular_ladder, footnote_graph
+from helpers import circular_ladder, cyclic_formula, footnote_graph
 
 
 @pytest.fixture
@@ -327,6 +327,24 @@ def test_one_in_three_over_the_fall_oracle_limit(files, capsys):
     assert rep["equivalence"] == "inconclusive" and not rep["inconsistent"]
     assert "n<=14" in rep["backward"] and rep["measurements"] == {}
     assert all(rep["structural_checks"].values())
+
+
+def test_one_in_three_over_the_sat_oracle_limit(files, capsys):
+    """240 variables are past the 1-in-3 oracle: gadget still emits the
+    1200-vertex instance with the forward step skipped, verify is
+    inconclusive, and the oracle itself refuses the formula."""
+    src = files["dir"] / "cyclic240.cnf13"
+    src.write_text(write_formula(cyclic_formula(240)))
+    code, rep = run(capsys, "gadget", "one-in-three", str(src), "--out",
+                    str(files["dir"] / "cyclic240-gadget"))
+    assert code == 0 and rep["status"] == "ok" and rep["n"] == 1200
+    assert rep["forward"].startswith("forward step skipped") and rep["forward_witness"] is None
+    code, rep = run(capsys, "verify", "one-in-three", str(src))
+    assert code == 2 and rep["status"] == "inconclusive"
+    assert rep["equivalence"] == "inconclusive" and not rep["inconsistent"]
+    assert "n<=30" in rep["forward"] and all(rep["structural_checks"].values())
+    code, rep = run(capsys, "oracle", "13sat", str(src))
+    assert code == 3 and rep["error"] == "1-in-3 oracle limited to n<=30, got n=240"
 
 
 def test_unexpected_exception_is_a_json_error(files, capsys):

@@ -137,15 +137,6 @@ def test_validators_on_figure_families():
     assert is_fall_colouring(pattern_graph("P2"), Colouring.from_values([1, 2]))
 
 
-def test_label_side_table():
-    g = pattern_graph("C3").with_labels(("a", "b", "c"))
-    assert g.labels == ("a", "b", "c")
-    assert g == pattern_graph("C3")  # labels never affect identity
-    assert analyze_tight(g).is_tight
-    with pytest.raises(GraphError):
-        pattern_graph("C3").with_labels(("a",))
-
-
 def test_improper_colouring_rejected_with_edge():
     g = pattern_graph("P2")
     with pytest.raises(ImproperColouringError) as err:

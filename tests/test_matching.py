@@ -1,13 +1,10 @@
-"""Bipartite and general matchers against brute force."""
+"""The blossom matcher against brute force."""
 
 import random
 
-import pytest
-
 from bchromatic.gadgets import crown_graph, petersen_graph
-from bchromatic.graphs import Graph, GraphError, bits
-from bchromatic.matching import (check_matching, max_bipartite_matching,
-                                 maximum_matching, perfect_matching)
+from bchromatic.graphs import Graph
+from bchromatic.matching import check_matching, maximum_matching, perfect_matching
 from bchromatic.patterns import pattern_graph
 
 from helpers import all_graphs_up_to, brute_max_matching_size, random_graph
@@ -15,20 +12,9 @@ from helpers import all_graphs_up_to, brute_max_matching_size, random_graph
 
 def test_bipartite_examples():
     k33 = Graph.from_edges(6, [(i, 3 + j) for i in range(3) for j in range(3)])
-    m = max_bipartite_matching(k33, {0, 1, 2}, {3, 4, 5})
-    assert len(m) == 3
-    crown = crown_graph(3)
-    assert len(max_bipartite_matching(crown, {0, 1, 2}, {3, 4, 5})) == 3
-    star = pattern_graph("K1,4")
-    assert len(max_bipartite_matching(star, {0}, {1, 2, 3, 4})) == 1
-
-
-def test_bipartite_rejects_bad_partition():
-    k3 = pattern_graph("K3")
-    with pytest.raises(GraphError):
-        max_bipartite_matching(k3, {0, 1}, {2})
-    with pytest.raises(GraphError):
-        max_bipartite_matching(pattern_graph("P3"), {0}, {1})
+    assert len(maximum_matching(k33)) == 3
+    assert len(maximum_matching(crown_graph(3))) == 3
+    assert len(maximum_matching(pattern_graph("K1,4"))) == 1
 
 
 def test_perfect_matching_examples():
@@ -45,12 +31,6 @@ def test_exhaustive_agreement_small():
         m = maximum_matching(g)
         check_matching(g, m)
         assert len(m) == bf, g.adj
-        bip = g.is_bipartition()
-        if bip is not None:
-            left, right = (set(bits(side)) for side in bip)
-            bm = max_bipartite_matching(g, left, right)
-            check_matching(g, bm)
-            assert len(bm) == bf, g.adj
 
 
 def test_random_agreement():

@@ -19,7 +19,7 @@ from bchromatic.oracles import (BudgetExceededError, Formula33, FormulaError,
 from bchromatic.patterns import pattern_graph
 
 from helpers import (all_graphs, all_graphs_up_to, brute_min_maximal_matching_size,
-                     footnote_graph, naive_fall_spectrum, naive_tight_b_colourings,
+                     cyclic_formula, footnote_graph, naive_fall_spectrum, naive_tight_b_colourings,
                      random_graph)
 
 
@@ -56,6 +56,9 @@ def test_budget_errors():
         chromatic_number(big)
     with pytest.raises(BudgetExceededError):
         fall_spectrum(Graph.from_edges(20, [(i, (i + 1) % 20) for i in range(20)]))
+    with pytest.raises(BudgetExceededError, match=r"1-in-3 oracle limited to n<=30, got n=240"):
+        one_in_three_sat(cyclic_formula(240))
+    assert sum(one_in_three_sat(cyclic_formula(240), budget=240)) == 80
 
 
 def test_tight_b_exact_examples():
@@ -213,3 +216,8 @@ def test_clique_number():
     assert clique_number(pattern_graph("K5")) == 5
     assert clique_number(pattern_graph("C5")) == 2
     assert clique_number(petersen_graph()) == 2
+
+
+def test_clique_number_on_a_long_path():
+    """The search's depth follows the clique size, not the vertex count."""
+    assert clique_number(Graph.from_edges(1500, [(i, i + 1) for i in range(1499)])) == 2
