@@ -30,7 +30,7 @@ from .io import (graph_digest, load_formula, load_graph, write_dimacs)
 from .oracles import (BudgetExceededError, NotTightError, b_chromatic_number,
                       chromatic_number, fall_spectrum, min_maximal_matching_size,
                       one_in_three_sat, three_edge_colouring, tight_b_exact)
-from .patterns import classify_b, classify_fall, classify_tight, contains_induced, pattern_graph
+from .patterns import DICHOTOMIES, classify, contains_induced, pattern_graph
 from .tight import solve_tight
 
 # report status -> exit code
@@ -129,8 +129,7 @@ def cmd_fall(args) -> int:
 
 def cmd_classify(args) -> int:
     h = load_graph(args.path)
-    verdicts = {"b": classify_b, "tightb": classify_tight, "fall": classify_fall}
-    v = verdicts[args.problem](h)
+    v = classify(h, args.problem)
     rep = _report("classify", args.path, h)
     rep.update({"status": "ok", "problem": args.problem, "verdict": v.verdict.value,
                 "reason": v.reason, "family": v.family})
@@ -202,23 +201,25 @@ def cmd_oracle(args) -> int:
     return _emit(rep, args.out)
 
 
-def _reduction(args, **kw) -> tuple[ReductionCertificate, dict]:
-    """The certificate of ``args.kind`` on the source at ``args.path``, and
-    the report fields that ``gadget`` and ``verify`` share."""
+def _reduction(args, **kw) -> tuple[ReductionCertificate, dict, str]:
+    """The certificate of ``args.kind`` on the source at ``args.path``, the
+    report fields that ``gadget`` and ``verify`` share, and the instance as
+    DIMACS text, built once for the digest and the ``.col`` file."""
     load, _ = REDUCTIONS[args.kind]
     cert = verify_reduction(args.kind, load(args.path), budget=_oracle_budget(), **kw)
+    dimacs = write_dimacs(cert.instance)
     rep = {"schema": 1, "command": f"{args.cmd} {args.kind}", "input": args.path,
-           "digest": graph_digest(cert.instance),
+           "digest": graph_digest(dimacs),
            "structural_checks": dict(cert.structural_checks),
            "forward": cert.forward_note, "forward_witness": _witness(cert.forward_witness)}
-    return cert, rep
+    return cert, rep, dimacs
 
 
 def cmd_gadget(args) -> int:
-    cert, rep = _reduction(args, backward=False)
+    cert, rep, dimacs = _reduction(args, backward=False)
     out_prefix = args.out_prefix or "gadget"
     col_path = Path(f"{out_prefix}.col")
-    col_path.write_text(write_dimacs(cert.instance))
+    col_path.write_text(dimacs)
     rep.update({
         "status": "ok" if cert.structurally_sound() else "error",
         "instance": str(col_path), "n": cert.instance.n, "edges": cert.instance.edge_count(),
@@ -228,7 +229,7 @@ def cmd_gadget(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cert, rep = _reduction(args, node_budget=args.budget)
+    cert, rep, _ = _reduction(args, node_budget=args.budget)
     rep.update({
         "backward": cert.backward_note,
         "measurements": cert.measurements,
@@ -276,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("classify", help="complexity verdict for H-free inputs, H given as a graph file")
     sp.add_argument("path")
-    sp.add_argument("--problem", choices=("b", "tightb", "fall"), required=True)
+    sp.add_argument("--problem", choices=tuple(DICHOTOMIES), required=True)
     common(sp)
 
     sp = sub.add_parser("hfree", help="induced-pattern check")

@@ -77,9 +77,6 @@ class Graph:
 
     # -- basic queries ----------------------------------------------------
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
@@ -97,9 +94,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
-
-    def neighbours(self, v: int) -> frozenset[int]:
-        return frozenset(bits(self.adj[v]))
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in bits(self.adj[u]) if v > u]

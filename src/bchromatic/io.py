@@ -157,6 +157,9 @@ def load_formula(path: str | Path) -> Formula33:
     return parse_formula(Path(path).read_text())
 
 
-def graph_digest(g: Graph) -> str:
-    """Stable hex digest of the canonical DIMACS encoding."""
-    return hashlib.sha256(write_dimacs(g).encode()).hexdigest()
+def graph_digest(g: Graph | str) -> str:
+    """Stable hex digest of the canonical DIMACS encoding of ``g``; pass the
+    encoding itself when it is already built, since building it is most of
+    the cost on large graphs."""
+    text = g if isinstance(g, str) else write_dimacs(g)
+    return hashlib.sha256(text.encode()).hexdigest()

@@ -497,14 +497,19 @@ def one_in_three_sat(f: Formula33, *, budget: int | None = None) -> tuple[bool, 
     n = f.variables
     _past_limit(n, budget, DEFAULT_SAT_BUDGET, "1-in-3")
     value: list[bool | None] = [None] * n
+    occurs: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for cl in f.clauses:
+        for x in cl:
+            occurs[x].append(cl)
 
     def clause_state(cl) -> tuple[int, int]:
         true = sum(1 for x in cl if value[x] is True)
         undecided = sum(1 for x in cl if value[x] is None)
         return true, undecided
 
-    def consistent() -> bool:
-        for cl in f.clauses:
+    def consistent(i: int) -> bool:
+        # the other clauses are as they were when the last check passed
+        for cl in occurs[i]:
             true, undecided = clause_state(cl)
             if true > 1 or true + undecided < 1:
                 return False
@@ -515,7 +520,7 @@ def one_in_three_sat(f: Formula33, *, budget: int | None = None) -> tuple[bool, 
             return all(clause_state(cl)[0] == 1 for cl in f.clauses)
         for choice in (False, True):
             value[i] = choice
-            if consistent() and rec(i + 1):
+            if consistent(i) and rec(i + 1):
                 return True
         value[i] = None
         return False

@@ -1,5 +1,7 @@
 """Induced-subgraph detection for small fixed patterns, and the complexity
-classifiers for the three colouring problems on H-free graph classes.
+dichotomies of the three colouring problems on H-free graph classes: one
+table, ``DICHOTOMIES``, of polynomial hosts and hardness triggers per
+problem, and one classifier, ``classify(h, problem)``, that reads it.
 
 Pattern names follow the usual additive notation: ``P4``, ``C5``, ``K4``,
 ``K1,3`` (= ``claw``), ``paw``, sums like ``P3+P1`` and multiplied terms like
@@ -345,7 +347,7 @@ def p3p1_decomposition(g: Graph) -> list[tuple[tuple[int, ...], CoComponentKind]
     return parts
 
 
-# -- dichotomy classifiers ----------------------------------------------------
+# -- dichotomies --------------------------------------------------------------
 
 
 class Verdict(Enum):
@@ -360,35 +362,6 @@ class DichotomyVerdict:
     verdict: Verdict
     reason: str
     family: str | None = None
-
-
-def _require_nonempty(h: Graph) -> None:
-    if h.n == 0:
-        raise PatternError("classifier needs a non-empty forbidden graph H")
-
-
-def _cycle_trigger(h: Graph) -> str | None:
-    if not is_free(h, "C3"):
-        return "C3"
-    if not is_forest(h):
-        return "C4 or longer induced cycle"
-    return None
-
-
-def classify_b(h: Graph) -> DichotomyVerdict:
-    """b-chromatic number on H-free graphs: polynomial iff H embeds in P4."""
-    _require_nonempty(h)
-    if is_induced_subgraph_of(h, "P4"):
-        return DichotomyVerdict(Verdict.POLY, "H is an induced subgraph of P4")
-    trigger = _cycle_trigger(h)
-    if trigger is None:
-        if not is_free(h, "2P2"):
-            trigger = "2P2"
-        elif not is_free(h, "3P1"):
-            trigger = "3P1"
-    if trigger is None:
-        raise AssertionError(f"dichotomy gap for H with {h.n} vertices")
-    return DichotomyVerdict(Verdict.NP_HARD, f"H contains an induced {trigger}")
 
 
 _OPEN_FAMILIES = {
@@ -411,43 +384,46 @@ def _open_family(h: Graph) -> str:
     return f"{_OPEN_FAMILIES[key]} (s={isolated})"
 
 
-def classify_tight(h: Graph) -> DichotomyVerdict:
-    """Tight b-chromatic number on H-free graphs.
+class Dichotomy(NamedTuple):
+    hosts: tuple[str, ...]     # maximal H for which the problem is polynomial
+    verdict: Verdict           # the complexity of every trigger
+    triggers: tuple[str, ...]  # induced subgraphs of H that make it hard, in reporting order
+    exhaustive: bool           # every H in no host contains a trigger
 
-    Polynomial when H embeds in P4, P3+P1 or 2P2+P1; NP-complete when H is
-    not a linear forest or contains an induced P5, 3P2 or 2P3; the remaining
-    linear forests are the open families.
+
+# The cycle trigger is the forest test: it is tried after C3, so it reports
+# an induced cycle of length at least 4.  Once both are ruled out H is a
+# forest, and a forest vertex of degree >= 3 with three of its neighbours
+# is an induced claw, so "claw" then means "not a linear forest".
+_CYCLE = "C4 or longer induced cycle"
+
+DICHOTOMIES = {
+    "b": Dichotomy(("P4",), Verdict.NP_HARD, ("C3", _CYCLE, "2P2", "3P1"), True),
+    "tightb": Dichotomy(("P4", "P3+P1", "2P2+P1"), Verdict.NP_COMPLETE,
+                        ("C3", _CYCLE, "claw", "P5", "3P2", "2P3"), False),
+    "fall": Dichotomy(("P4", "P3+P1"), Verdict.NP_HARD,
+                      ("C3", _CYCLE, "claw", "2P2", "4P1", "P2+2P1"), True),
+}
+
+
+def classify(h: Graph, problem: str) -> DichotomyVerdict:
+    """The complexity of ``problem`` (a key of ``DICHOTOMIES``: b-chromatic
+    number, tight b-chromatic number, or the fall chromatic and achromatic
+    numbers) on H-free graphs.
+
+    Polynomial when H embeds in a host, hard when it contains a trigger;
+    where the triggers are not exhaustive the remaining H are linear forests
+    in one of the open families.
     """
-    _require_nonempty(h)
-    for host in ("P4", "P3+P1", "2P2+P1"):
+    if h.n == 0:
+        raise PatternError("classifier needs a non-empty forbidden graph H")
+    d = DICHOTOMIES[problem]
+    for host in d.hosts:
         if is_induced_subgraph_of(h, host):
             return DichotomyVerdict(Verdict.POLY, f"H is an induced subgraph of {host}")
-    if not is_linear_forest(h):
-        trigger = _cycle_trigger(h) or "claw"
-        return DichotomyVerdict(Verdict.NP_COMPLETE, f"H contains an induced {trigger}")
-    for trigger in ("P5", "3P2", "2P3"):
-        if not is_free(h, trigger):
-            return DichotomyVerdict(Verdict.NP_COMPLETE, f"H contains an induced {trigger}")
-    family = _open_family(h)
-    return DichotomyVerdict(Verdict.OPEN, "complexity unresolved for this family", family)
-
-
-def classify_fall(h: Graph) -> DichotomyVerdict:
-    """Fall chromatic/achromatic number on H-free graphs: polynomial iff H
-    embeds in P4 or in P3+P1."""
-    _require_nonempty(h)
-    for host in ("P4", "P3+P1"):
-        if is_induced_subgraph_of(h, host):
-            return DichotomyVerdict(Verdict.POLY, f"H is an induced subgraph of {host}")
-    trigger = _cycle_trigger(h)
-    if trigger is None and not is_free(h, "claw"):
-        trigger = "claw"
-    if trigger is None:
-        # H is a linear forest; one of the four disconnected triggers applies.
-        for t in ("2P2", "4P1", "P2+2P1"):
-            if not is_free(h, t):
-                trigger = t
-                break
-    if trigger is None:
+    for trigger in d.triggers:
+        if not (is_forest(h) if trigger == _CYCLE else is_free(h, trigger)):
+            return DichotomyVerdict(d.verdict, f"H contains an induced {trigger}")
+    if d.exhaustive:
         raise AssertionError(f"dichotomy gap for H with {h.n} vertices")
-    return DichotomyVerdict(Verdict.NP_HARD, f"H contains an induced {trigger}")
+    return DichotomyVerdict(Verdict.OPEN, "complexity unresolved for this family", _open_family(h))

@@ -24,9 +24,9 @@ pair T2 against the uncoloured boundary S with an auxiliary bipartite graph
 On top of the extension test sit the two polynomial solvers: the
 (2P2+P1)-free algorithm, which forces boundary colours through the T(u,s)
 completeness rule, and the (P3+P1)-free algorithm, which decomposes into
-co-components and solves each one as either a (2P2+P1)-free graph or a
-disjoint union of cliques.  ``solve_tight`` is the one place that chooses
-between them and the exact oracle.
+co-components and runs the (2P2+P1)-free core on each of them.
+``solve_tight`` is the one place that chooses between them and the exact
+oracle.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .graphs import (Colouring, Graph, GraphError, TightAnalysis,
                      analyze_tight, bits)
 from .matching import perfect_matching
 from .oracles import NotTightError, tight_b_exact
-from .patterns import CoComponentKind, is_free, is_union_of_cliques, p3p1_decomposition
+from .patterns import is_free, p3p1_decomposition
 
 
 class PreconditionError(GraphError):
@@ -270,34 +270,18 @@ def _tight_2p2p1(g: Graph, info: TightAnalysis) -> Colouring | None:
 # -- (P3+P1)-free tight graphs -------------------------------------------------
 
 
-def tight_b_clique_union(g: Graph) -> Colouring | None:
-    """Tight b-colouring when every component of ``g`` is complete.
-
-    Tightness forces a unique largest clique of size m; colouring it rainbow
-    and reusing colours 1.. inside the smaller cliques keeps every class
-    b-chromatic through the large clique.
-    """
-    info = _require_tight(g)
-    if not is_union_of_cliques(g):
-        raise PreconditionError("a component is not a complete graph")
-    comps = g.component_masks()
-    colour = [0] * g.n
-    for mask in comps:
-        for c, v in enumerate(bits(mask), start=1):
-            colour[v] = c
-    if max(mask.bit_count() for mask in comps) != info.m:
-        raise AssertionError("the largest clique of a tight clique union has m vertices")
-    return Colouring.from_values(colour)
-
-
 def tight_b_p3p1_free(g: Graph) -> Colouring | None:
     """Tight b-colouring of a tight (P3+P1)-free graph, or None.
 
     Splits into co-components G_i with dense parts T_i.  Since distinct
     co-components are complete to each other, |T_i| >= p_i + 1 always holds
     for p_i the maximum degree inside G_i, and any strict excess already
-    refutes the colouring.  Otherwise every G_i is itself tight and the
-    answers combine with disjoint colour ranges.
+    refutes the colouring.  Otherwise every G_i is itself tight, the
+    (2P2+P1)-free core solves it, and the answers combine with disjoint
+    colour ranges.  A G_i with no independent triple is (2P2+P1)-free; the
+    other kind is a union of cliques, whose dense set is the unique largest
+    clique with an empty boundary, so the core forces nothing and its
+    greedy completion colours each clique 1, 2, ... in vertex order.
     """
     info = _require_tight(g)
     parts = p3p1_decomposition(g)
@@ -307,8 +291,8 @@ def tight_b_p3p1_free(g: Graph) -> Colouring | None:
 
 
 def _tight_p3p1(g: Graph, info: TightAnalysis, parts) -> Colouring | None:
-    subs = [(vs, kind, g.subgraph(vs)) for vs, kind in parts]
-    for vs, _, sub in subs:
+    subs = [(vs, g.subgraph(vs)) for vs, _ in parts]
+    for vs, sub in subs:
         t_i = [v for v in vs if v in info.dense]
         p_i = sub.max_degree()
         if len(t_i) < p_i + 1:
@@ -318,12 +302,8 @@ def _tight_p3p1(g: Graph, info: TightAnalysis, parts) -> Colouring | None:
 
     colour = [0] * g.n
     offset = 0
-    for vs, kind, sub in subs:
-        if kind is CoComponentKind.THREE_P1_FREE:
-            # no independent triple: in particular (2P2+P1)-free
-            local = _tight_2p2p1(sub, _require_tight(sub))
-        else:
-            local = tight_b_clique_union(sub)
+    for vs, sub in subs:
+        local = _tight_2p2p1(sub, _require_tight(sub))
         if local is None:
             return None
         for idx, v in enumerate(vs):

@@ -21,8 +21,7 @@ from bchromatic.matching import maximum_matching
 from bchromatic.oracles import (b_chromatic_number, chromatic_number,
                                 fall_spectrum, three_edge_colouring,
                                 tight_b_exact)
-from bchromatic.patterns import (Verdict, classify_b, classify_fall,
-                                 classify_tight, is_free, pattern_graph)
+from bchromatic.patterns import Verdict, classify, is_free, pattern_graph
 from bchromatic.tight import (PartialViolation, extend_partial,
                               is_b_precolouring_extension,
                               tight_b_2p2p1_free, tight_b_p3p1_free,
@@ -319,12 +318,12 @@ def test_criterion_7_dichotomy_table():
     wrong = []
     for name, (vb, vt, vf) in expected.items():
         h = pattern_graph(name)
-        got = (classify_b(h).verdict, classify_tight(h).verdict, classify_fall(h).verdict)
+        got = tuple(classify(h, problem).verdict for problem in ("b", "tightb", "fall"))
         if got != (vb, vt, vf):
             wrong.append((name, got))
     open_checks = []
     for name in ("P4+P1", "P3+2P1", "4P1"):
-        open_checks.append(classify_tight(pattern_graph(name)).family is not None)
+        open_checks.append(classify(pattern_graph(name), "tightb").family is not None)
     ok = not wrong and all(open_checks)
     _line(7, "dichotomy classifier table", ok, f"mismatches: {wrong or 'none'}")
     assert ok

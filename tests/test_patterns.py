@@ -1,5 +1,6 @@
-"""Pattern expansion, induced-subgraph search, and the three classifiers."""
+"""Pattern expansion, induced-subgraph search, and the dichotomy classifier."""
 
+import hashlib
 import random
 
 import pytest
@@ -7,8 +8,7 @@ import pytest
 from bchromatic.graphs import Graph
 from bchromatic.graphs import co_components
 from bchromatic.patterns import (CoComponentKind, PatternError, Verdict,
-                                 classify_b, classify_fall, classify_tight,
-                                 contains_induced, is_complete_multipartite,
+                                 classify, contains_induced, is_complete_multipartite,
                                  is_free, is_induced_subgraph_of,
                                  is_linear_forest, is_union_of_cliques,
                                  p3p1_decomposition, pattern_graph)
@@ -160,21 +160,21 @@ def test_linear_forest():
 
 def test_classifier_known_cases():
     two_p2 = pattern_graph("2P2")
-    assert classify_b(two_p2).verdict is Verdict.NP_HARD
-    assert classify_tight(two_p2).verdict is Verdict.POLY
-    assert classify_fall(two_p2).verdict is Verdict.NP_HARD
+    assert classify(two_p2, "b").verdict is Verdict.NP_HARD
+    assert classify(two_p2, "tightb").verdict is Verdict.POLY
+    assert classify(two_p2, "fall").verdict is Verdict.NP_HARD
 
     p4p1 = pattern_graph("P4+P1")
-    v = classify_tight(p4p1)
+    v = classify(p4p1, "tightb")
     assert v.verdict is Verdict.OPEN and v.family == "P4+sP1 (s=1)"
 
     claw = pattern_graph("claw")
-    assert classify_b(claw).verdict is Verdict.NP_HARD
-    assert classify_tight(claw).verdict is Verdict.NP_COMPLETE
-    assert classify_fall(claw).verdict is Verdict.NP_HARD
+    assert classify(claw, "b").verdict is Verdict.NP_HARD
+    assert classify(claw, "tightb").verdict is Verdict.NP_COMPLETE
+    assert classify(claw, "fall").verdict is Verdict.NP_HARD
 
 
-def test_classify_tight_open_families_exactly():
+def test_tightb_open_families_exactly():
     """The open verdict appears exactly on the seven linear-forest families."""
     def lf(*sizes):
         name = "+".join(f"P{s}" for s in sizes)
@@ -195,11 +195,11 @@ def test_classify_tight_open_families_exactly():
         if s >= 4:
             cases["sP1"] = lf(*([1] * s))
         for family, h in cases.items():
-            v = classify_tight(h)
+            v = classify(h, "tightb")
             assert v.verdict is Verdict.OPEN, (family, s)
             assert v.family == f"{family} (s={s})"
     # sP1 family starts at s = 4
-    v = classify_tight(pattern_graph("4P1"))
+    v = classify(pattern_graph("4P1"), "tightb")
     assert v.verdict is Verdict.OPEN and v.family == "sP1 (s=4)"
 
 
@@ -208,12 +208,12 @@ def test_classify_exhaustive_consistency_small():
     bare containment statements of the three dichotomies."""
     for n in range(1, 6):
         for h in all_graphs(n):
-            b = classify_b(h)
+            b = classify(h, "b")
             assert (b.verdict is Verdict.POLY) == is_induced_subgraph_of(h, "P4")
-            f = classify_fall(h)
+            f = classify(h, "fall")
             assert (f.verdict is Verdict.POLY) == (
                 is_induced_subgraph_of(h, "P4") or is_induced_subgraph_of(h, "P3+P1"))
-            t = classify_tight(h)
+            t = classify(h, "tightb")
             poly = (is_induced_subgraph_of(h, "P4")
                     or is_induced_subgraph_of(h, "P3+P1")
                     or is_induced_subgraph_of(h, "2P2+P1"))
@@ -225,3 +225,16 @@ def test_classify_exhaustive_consistency_small():
                 assert t.verdict is Verdict.NP_COMPLETE
             else:
                 assert t.verdict is Verdict.OPEN
+
+
+def test_classifier_output_pinned():
+    """Verdict, reason and family of all three problems on every H with at
+    most 6 vertices (101,601 classifications), against a recorded digest:
+    the reason strings reach the ``classify`` command's JSON, so any change
+    to them must be deliberate."""
+    digest = hashlib.sha256()
+    for h in all_graphs_up_to(6):
+        for problem in ("b", "tightb", "fall"):
+            v = classify(h, problem)
+            digest.update(f"{v.verdict.value}|{v.reason}|{v.family}\n".encode())
+    assert digest.hexdigest() == "546889d5cd79d1ac33513ec83382524e143108ac4bccf60e3fa19d95c569a4b0"

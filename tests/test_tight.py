@@ -11,7 +11,7 @@ from bchromatic.patterns import pattern_graph
 from bchromatic.tight import (PartialViolation, PreconditionError,
                               boundary_forcings, dense_partition,
                               extend_partial, is_b_precolouring_extension,
-                              tight_b_2p2p1_free, tight_b_clique_union,
+                              solve_tight, tight_b_2p2p1_free,
                               tight_b_p3p1_free, validate_partial)
 
 from helpers import (check_dense_structure, footnote_graph,
@@ -147,8 +147,6 @@ def test_solver_examples():
 def test_solver_preconditions():
     with pytest.raises(PreconditionError):
         tight_b_2p2p1_free(pattern_graph("C4"))  # not tight
-    with pytest.raises(PreconditionError):
-        tight_b_clique_union(P5)  # components not complete
     # P5 is tight but not (P3+P1)-free
     with pytest.raises(PreconditionError):
         tight_b_p3p1_free(P5)
@@ -156,18 +154,20 @@ def test_solver_preconditions():
 
 def test_clique_union_fixtures():
     from bchromatic.graphs import disjoint_union
-    c = tight_b_clique_union(pattern_graph("K3"))
-    assert c is not None and c.k == 3
+    res = solve_tight(pattern_graph("K3"))
+    assert res.path == "(2P2+P1)-free" and res.colouring.colours == (1, 2, 3)
     # two equal largest cliques break tightness, so K3+K3 is out of scope
     k3k3 = disjoint_union(pattern_graph("K3"), pattern_graph("K3"))
     assert not analyze_tight(k3k3).is_tight
-    with pytest.raises(PreconditionError):
-        tight_b_clique_union(k3k3)
-    k4k2 = disjoint_union(pattern_graph("K4"), pattern_graph("K2"))
-    assert analyze_tight(k4k2).is_tight
-    c = tight_b_clique_union(k4k2)
-    assert c is not None and c.k == 4
-    assert tight_b_exact(k4k2).status == "found"
+    with pytest.raises(NotTightError):
+        solve_tight(k3k3)
+    # 3P2 is a union of cliques with independent triples: one co-component
+    # of the (P3+P1)-free solver, coloured clique by clique 1, 2, ...
+    k4_3p2 = disjoint_union(pattern_graph("K4"), pattern_graph("3P2"))
+    res = solve_tight(k4_3p2)
+    assert res.path == "(P3+P1)-free"
+    assert res.colouring.colours == (1, 2, 3, 4, 1, 2, 1, 2, 1, 2)
+    assert tight_b_exact(k4_3p2).status == "found"
 
 
 def test_clique_union_solver_against_oracle():
@@ -181,9 +181,10 @@ def test_clique_union_solver_against_oracle():
             g = disjoint_union(g, pattern_graph(f"K{s}") if s > 1 else Graph.empty(1))
         if not analyze_tight(g).is_tight or g.n > 10:
             continue
-        c = tight_b_clique_union(g)
-        res = tight_b_exact(g)
-        assert (c is not None) == (res.status == "found")
+        res = solve_tight(g)
+        assert res.path != "oracle"  # a union of cliques is (P3+P1)-free
+        c = res.colouring
+        assert (c is not None) == (tight_b_exact(g).status == "found")
         if c is not None:
             assert is_tight_b_colouring(g, c)
         checked += 1
