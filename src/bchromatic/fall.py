@@ -13,50 +13,30 @@ the problem splits:
 
 Either way the spectrum of the co-component, and hence of the whole graph,
 is a singleton or empty: graphs in this class are fall-unique whenever they
-have a fall colouring at all.  ``fall_uniqueness_report`` is the one place
-that chooses between this solver and the exact oracle.
+have a fall colouring at all.  The solver stacks the co-components' colours
+and stops at the first one without a fall colouring; it returns the
+``FallSpectrum`` that the exact oracle returns.  ``fall_uniqueness_report``
+is the one place that chooses between this solver and the oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Colouring, Graph, bits
+from .graphs import Colouring, Graph, PreconditionError, bits
 from .matching import perfect_matching
 from .oracles import FallSpectrum, fall_spectrum
 from .patterns import CoComponentKind, p3p1_decomposition
-from .tight import PreconditionError
 
 
-@dataclass(frozen=True)
-class ComponentBreakdown:
-    vertices: tuple[int, ...]
-    kind: CoComponentKind
-    dominating: tuple[int, ...]
-    pair_count: int
-    clique_size: int | None
-    colours: int
-
-
-@dataclass(frozen=True)
-class FallResult:
-    spectrum: FallSpectrum
-    colouring: Colouring | None
-    per_component: tuple[ComponentBreakdown, ...]
-
-
-def _dominating_vertices(g: Graph) -> list[int]:
-    full = g.full_mask()
-    return [v for v in range(g.n) if g.adj[v] | (1 << v) == full]
-
-
-def fall_p3p1_free(g: Graph) -> FallResult:
-    """Fall spectrum and witness for a (P3+P1)-free graph.
+def fall_p3p1_free(g: Graph) -> FallSpectrum:
+    """Fall spectrum and witness of a (P3+P1)-free graph.
 
     The spectrum is {sum of per-co-component colour counts} when every
-    co-component succeeds, else empty.  Witness classes: dominating vertices
-    as singletons, matched pairs as two-vertex classes, cliques coloured
-    rainbow, with disjoint colour ranges across co-components.
+    co-component has a fall colouring, else empty.  Witness classes:
+    dominating vertices as singletons, matched pairs as two-vertex classes,
+    cliques coloured rainbow, with disjoint colour ranges across
+    co-components.
     """
     parts = p3p1_decomposition(g)
     if parts is None:
@@ -64,59 +44,46 @@ def fall_p3p1_free(g: Graph) -> FallResult:
     return _fall_p3p1(g, parts)
 
 
-def _fall_p3p1(g: Graph, parts) -> FallResult:
-    breakdown: list[ComponentBreakdown] = []
+def _fall_3p1_free(sub: Graph) -> list[int] | None:
+    full = sub.full_mask()
+    dom = [v for v in range(sub.n) if sub.adj[v] | (1 << v) == full]
+    keep = [v for v in range(sub.n) if sub.adj[v] | (1 << v) != full]
+    matching = perfect_matching(sub.subgraph(keep).complement())
+    if matching is None:
+        return None
+    colour = [0] * sub.n
+    for c, v in enumerate(dom, start=1):
+        colour[v] = c
+    for c, (a, b) in enumerate(matching.edges, start=len(dom) + 1):
+        colour[keep[a]] = colour[keep[b]] = c
+    return colour
+
+
+def _fall_clique_union(sub: Graph) -> list[int] | None:
+    comps = sub.component_masks()
+    if len({mask.bit_count() for mask in comps}) != 1:
+        return None
+    colour = [0] * sub.n
+    for mask in comps:
+        for c, v in enumerate(bits(mask), start=1):
+            colour[v] = c
+    return colour
+
+
+def _fall_p3p1(g: Graph, parts) -> FallSpectrum:
     colour = [0] * g.n
-    offset = 0
-    feasible = True
-
+    k = 0
     for vs, kind in parts:
-        sub = g.subgraph(vs)
-        if kind is CoComponentKind.THREE_P1_FREE:
-            dom = _dominating_vertices(sub)
-            keep = [i for i in range(sub.n) if i not in set(dom)]
-            pairs: list[tuple[int, int]] = []
-            ok = len(keep) % 2 == 0
-            if ok and keep:
-                rest = sub.subgraph(keep)
-                m = perfect_matching(rest.complement())
-                if m is None:
-                    ok = False
-                else:
-                    pairs = [(keep[a], keep[b]) for a, b in m.edges]
-            used = len(dom) + len(pairs)
-            breakdown.append(ComponentBreakdown(vs, kind, tuple(vs[i] for i in dom),
-                                                len(pairs), None, used if ok else 0))
-            if not ok:
-                feasible = False
-                continue
-            c = offset
-            for i in dom:
-                c += 1
-                colour[vs[i]] = c
-            for a, b in pairs:
-                c += 1
-                colour[vs[a]] = c
-                colour[vs[b]] = c
-            offset = c
-        else:
-            comps = sub.component_masks()
-            sizes = sorted({m.bit_count() for m in comps})
-            ok = len(sizes) == 1
-            p = sizes[0] if ok else None
-            breakdown.append(ComponentBreakdown(vs, kind, (), 0, p, p if ok else 0))
-            if not ok:
-                feasible = False
-                continue
-            for mask in comps:
-                for c, i in enumerate(bits(mask), start=1):
-                    colour[vs[i]] = offset + c
-            offset += p
-
-    if not feasible or g.n == 0:  # the empty graph has no fall colouring
-        return FallResult(FallSpectrum(()), None, tuple(breakdown))
-    witness = Colouring.from_values(colour)
-    return FallResult(FallSpectrum((offset,), {offset: witness}), witness, tuple(breakdown))
+        part = _fall_3p1_free if kind is CoComponentKind.THREE_P1_FREE else _fall_clique_union
+        local = part(g.subgraph(vs))
+        if local is None:
+            return FallSpectrum(())
+        for v, c in zip(vs, local):
+            colour[v] = k + c
+        k += max(local)
+    if not k:  # the empty graph has no fall colouring
+        return FallSpectrum(())
+    return FallSpectrum((k,), {k: Colouring.from_values(colour)})
 
 
 @dataclass(frozen=True)
@@ -133,7 +100,7 @@ def fall_uniqueness_report(g: Graph, *, budget: int | None = None,
     vertex ``budget``.  Flags graphs whose spectrum is a single value."""
     parts = None if force_oracle else p3p1_decomposition(g)
     if parts is not None:
-        path, spectrum = "(P3+P1)-free", _fall_p3p1(g, parts).spectrum
+        path, spectrum = "(P3+P1)-free", _fall_p3p1(g, parts)
     else:
         path, spectrum = "oracle", fall_spectrum(g, budget=budget)
     return FallUniqueness(len(spectrum.values) == 1, spectrum, path)

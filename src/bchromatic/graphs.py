@@ -30,6 +30,10 @@ class GraphError(ValueError):
     """Invalid graph construction or graph-level precondition failure."""
 
 
+class PreconditionError(GraphError):
+    """Solver called outside its graph class."""
+
+
 class ColouringError(ValueError):
     """Invalid colouring construction."""
 

@@ -23,8 +23,10 @@ pair T2 against the uncoloured boundary S with an auxiliary bipartite graph
 
 On top of the extension test sit the two polynomial solvers: the
 (2P2+P1)-free algorithm, which forces boundary colours through the T(u,s)
-completeness rule, and the (P3+P1)-free algorithm, which decomposes into
-co-components and runs the (2P2+P1)-free core on each of them.
+completeness rule, and the (P3+P1)-free algorithm.  A tight graph that is
+the join of two or more co-components has a tight b-colouring only when it
+is complete (see ``tight_b_p3p1_free``), so the (P3+P1)-free algorithm runs
+the (2P2+P1)-free core on the whole graph or answers no outright.
 ``solve_tight`` is the one place that chooses between them and the exact
 oracle.
 """
@@ -33,15 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import (Colouring, Graph, GraphError, TightAnalysis,
-                     analyze_tight, bits)
+from .graphs import (Colouring, Graph, GraphError, PreconditionError,
+                     TightAnalysis, analyze_tight, bits)
 from .matching import perfect_matching
 from .oracles import NotTightError, tight_b_exact
 from .patterns import is_free, p3p1_decomposition
-
-
-class PreconditionError(GraphError):
-    """Solver called outside its graph class."""
 
 
 @dataclass(frozen=True)
@@ -80,6 +78,11 @@ def validate_partial(g: Graph, s_prime, colours: dict[int, int]) -> PartialBColo
     info = analyze_tight(g)
     if not info.is_tight:
         raise NotTightError("partial b-colourings are defined on tight graphs")
+    return _validate_partial(g, info, s_prime, colours)
+
+
+def _validate_partial(g: Graph, info: TightAnalysis, s_prime,
+                      colours: dict[int, int]) -> PartialBColouring | PartialViolation:
     s_prime = frozenset(s_prime)
     if not s_prime <= info.boundary:
         raise GraphError(f"S' must lie inside the dense boundary {sorted(info.boundary)}")
@@ -261,7 +264,7 @@ def _tight_2p2p1(g: Graph, info: TightAnalysis) -> Colouring | None:
         return None
     colours = {u: i + 1 for i, u in enumerate(sorted(info.dense))}
     colours.update(forced)
-    partial = validate_partial(g, frozenset(forced), colours)
+    partial = _validate_partial(g, info, forced, colours)
     if isinstance(partial, PartialViolation):
         return None
     return extend_partial(partial)
@@ -273,15 +276,30 @@ def _tight_2p2p1(g: Graph, info: TightAnalysis) -> Colouring | None:
 def tight_b_p3p1_free(g: Graph) -> Colouring | None:
     """Tight b-colouring of a tight (P3+P1)-free graph, or None.
 
-    Splits into co-components G_i with dense parts T_i.  Since distinct
-    co-components are complete to each other, |T_i| >= p_i + 1 always holds
-    for p_i the maximum degree inside G_i, and any strict excess already
-    refutes the colouring.  Otherwise every G_i is itself tight, the
-    (2P2+P1)-free core solves it, and the answers combine with disjoint
-    colour ranges.  A G_i with no independent triple is (2P2+P1)-free; the
-    other kind is a union of cliques, whose dense set is the unique largest
-    clique with an empty boundary, so the core forces nothing and its
-    greedy completion colours each clique 1, 2, ... in vertex order.
+    Distinct co-components are complete to each other, and a tight graph
+    with two or more co-components has a tight b-colouring only when it is
+    complete.  Let T be the m dense vertices, each of degree m-1, V_i a
+    co-component and p_i the largest degree inside G[V_i]:
+
+    * each vertex of V_i sees all n - |V_i| vertices outside V_i, so a V_i
+      without dense vertices would see all of T and its vertices would be
+      dense; hence every V_i meets T;
+    * a dense u in V_i has m - 1 - (n - |V_i|) neighbours inside V_i, the
+      largest inner degree p_i, so |T & V_i| = p_i + 1 + (number of
+      non-dense vertices outside V_i);
+    * in a tight b-colouring each class holds exactly one dense vertex (its
+      b-chromatic vertex) and lies inside one co-component, so |T & V_i|
+      classes meet V_i, and a dense u in V_i sees the other |T & V_i| - 1
+      of them among its p_i inner neighbours: |T & V_i| <= p_i + 1.
+
+    With two or more co-components every vertex lies outside some V_i, so
+    the bound holds for all i only when every vertex is dense, that is when
+    G = K_n.  Any other such join is refuted.  Otherwise G is K_n or one
+    co-component, and the (2P2+P1)-free core colours it: a graph without an
+    independent triple is (2P2+P1)-free, and in a union of cliques the dense
+    set is the unique largest clique with an empty boundary, so the core
+    forces nothing and its greedy completion colours each clique 1, 2, ...
+    in vertex order.
     """
     info = _require_tight(g)
     parts = p3p1_decomposition(g)
@@ -291,27 +309,9 @@ def tight_b_p3p1_free(g: Graph) -> Colouring | None:
 
 
 def _tight_p3p1(g: Graph, info: TightAnalysis, parts) -> Colouring | None:
-    subs = [(vs, g.subgraph(vs)) for vs, _ in parts]
-    for vs, sub in subs:
-        t_i = [v for v in vs if v in info.dense]
-        p_i = sub.max_degree()
-        if len(t_i) < p_i + 1:
-            raise AssertionError("dense count below max inner degree + 1 is impossible in a tight graph")
-        if len(t_i) > p_i + 1:
-            return None
-
-    colour = [0] * g.n
-    offset = 0
-    for vs, sub in subs:
-        local = _tight_2p2p1(sub, _require_tight(sub))
-        if local is None:
-            return None
-        for idx, v in enumerate(vs):
-            colour[v] = local.colours[idx] + offset
-        offset += local.k
-    if offset != info.m:
-        raise AssertionError("the co-components' colour counts add up to m")
-    return Colouring.from_values(colour)
+    if len(parts) > 1 and info.m < g.n:
+        return None
+    return _tight_2p2p1(g, info)
 
 
 # -- dispatch --------------------------------------------------------------------
@@ -332,7 +332,8 @@ def solve_tight(g: Graph, *, node_budget: int | None = None,
     (P3+P1)-free solver, else the exact oracle within ``node_budget``.
 
     Each class is recognised once: one induced 2P2+P1 search, then the
-    co-component decomposition that the (P3+P1)-free solver runs on.
+    co-component decomposition, which recognises (P3+P1)-freeness and
+    counts the co-components the (P3+P1)-free solver needs.
     Raises NotTightError when ``g`` is not tight.
     """
     info = _require_tight(g, NotTightError)

@@ -170,15 +170,15 @@ def test_criterion_4_fall_solver_equivalence():
             handled += 1
             res = fall_p3p1_free(g)
             spectrum = fall_spectrum(g)
-            if res.spectrum.values != spectrum.values or len(res.spectrum.values) > 1:
+            if res.values != spectrum.values or len(res.values) > 1:
                 disagreements += 1
-            elif res.colouring is not None and not is_fall_colouring(g, res.colouring):
+            elif any(not is_fall_colouring(g, res.witnesses[k]) for k in res.values):
                 disagreements += 1
     for g in sample_in_class_p3p1(rng, 1000):
         handled += 1
         res = fall_p3p1_free(g)
         spectrum = fall_spectrum(g)
-        if res.spectrum.values != spectrum.values or len(res.spectrum.values) > 1:
+        if res.values != spectrum.values or len(res.values) > 1:
             disagreements += 1
     paw_empty = fall_spectrum(pattern_graph("paw")).values == ()
     c3_three = fall_spectrum(pattern_graph("C3")).values == (3,)

@@ -1,17 +1,18 @@
 """Fall colourings of (P3+P1)-free graphs and uniqueness reporting."""
 
+import hashlib
 import random
 
 import pytest
 
 from bchromatic.fall import fall_p3p1_free, fall_uniqueness_report
 from bchromatic.gadgets import crown_graph
-from bchromatic.graphs import Graph, is_fall_colouring
+from bchromatic.graphs import Graph, PreconditionError, is_fall_colouring
 from bchromatic.oracles import fall_spectrum
-from bchromatic.patterns import CoComponentKind, pattern_graph
-from bchromatic.tight import PreconditionError
+from bchromatic.patterns import (CoComponentKind, p3p1_decomposition,
+                                 pattern_graph)
 
-from helpers import random_p3p1_free, sample_in_class_p3p1
+from helpers import all_graphs_up_to, random_p3p1_free, sample_in_class_p3p1
 
 
 def cocktail_party(n: int) -> Graph:
@@ -24,28 +25,33 @@ def cocktail_party(n: int) -> Graph:
 def test_matched_pairs_monochromatic():
     g = cocktail_party(3)
     res = fall_p3p1_free(g)
-    assert res.spectrum.values == (3,)
-    assert is_fall_colouring(g, res.colouring)
+    assert res.values == (3,)
+    assert is_fall_colouring(g, res.witnesses[3])
     # each non-singleton class is one of the removed matching pairs
-    for members in res.colouring.classes().values():
+    for members in res.witnesses[3].classes().values():
         assert len(members) == 2 and members[1] == members[0] + 3
 
 
 def test_k3_spectrum():
     res = fall_p3p1_free(pattern_graph("K3"))
-    assert res.spectrum.values == (3,)
+    assert res.values == (3,)
 
 
 def test_paw_empty():
     # the paw itself is (P3+P1)-free: the only 4-vertex graph that is not is
     # P3+P1 itself
     res = fall_p3p1_free(pattern_graph("paw"))
-    assert res.spectrum.values == () and res.colouring is None
+    assert res.values == () and not res.witnesses
 
 
 def test_out_of_class_rejected():
     with pytest.raises(PreconditionError):
         fall_p3p1_free(crown_graph(3))  # C6 contains P3+P1
+
+
+def _dominating_within(g, vs):
+    """Vertices of ``vs`` adjacent to every other vertex of ``vs``."""
+    return {v for v in vs if all(g.has_edge(v, w) for w in vs if w != v)}
 
 
 def test_case1_pairs_have_size_two():
@@ -55,15 +61,16 @@ def test_case1_pairs_have_size_two():
     seen = 0
     for g in sample_in_class_p3p1(rng, 300, (6, 9)):
         res = fall_p3p1_free(g)
-        if res.colouring is None:
+        if not res.values:
             continue
-        for part in res.per_component:
-            if part.kind is not CoComponentKind.THREE_P1_FREE:
+        colouring = res.witnesses[res.values[0]]
+        for vs, kind in p3p1_decomposition(g):
+            if kind is not CoComponentKind.THREE_P1_FREE:
                 continue
-            singles = set(part.dominating)
+            singles = _dominating_within(g, vs)
             classes = {}
-            for v in part.vertices:
-                classes.setdefault(res.colouring.colours[v], []).append(v)
+            for v in vs:
+                classes.setdefault(colouring.colours[v], []).append(v)
             for members in classes.values():
                 if any(v in singles for v in members):
                     assert len(members) == 1
@@ -77,10 +84,11 @@ def test_colour_ranges_disjoint_across_cocomponents():
     rng = random.Random(51)
     for g in sample_in_class_p3p1(rng, 200, (5, 9)):
         res = fall_p3p1_free(g)
-        if res.colouring is None:
+        if not res.values:
             continue
-        used = [set(res.colouring.colours[v] for v in part.vertices)
-                for part in res.per_component]
+        colouring = res.witnesses[res.values[0]]
+        used = [set(colouring.colours[v] for v in vs)
+                for vs, _ in p3p1_decomposition(g)]
         for i in range(len(used)):
             for j in range(i + 1, len(used)):
                 assert not used[i] & used[j]
@@ -91,10 +99,10 @@ def test_agreement_with_oracle_random():
     for g in sample_in_class_p3p1(rng, 300, (6, 9)):
         res = fall_p3p1_free(g)
         spectrum = fall_spectrum(g)
-        assert res.spectrum.values == spectrum.values, g.adj
-        assert len(res.spectrum.values) <= 1
-        if res.colouring is not None:
-            assert is_fall_colouring(g, res.colouring)
+        assert res.values == spectrum.values, g.adj
+        assert len(res.values) <= 1
+        for k in res.values:
+            assert is_fall_colouring(g, res.witnesses[k])
 
 
 def test_fall_uniqueness_report():
@@ -121,6 +129,28 @@ def test_uniqueness_report_budget_error():
 
 def test_empty_cocomponent_after_dominating_removal():
     # complete graphs: every vertex dominating, zero pairs, n singleton classes
-    res = fall_p3p1_free(pattern_graph("K4"))
-    assert res.spectrum.values == (4,)
-    assert res.per_component[0].pair_count == 0
+    g = pattern_graph("K4")
+    res = fall_p3p1_free(g)
+    assert res.values == (4,)
+    # the first co-component is all dominating, so it holds no pair
+    vs, _ = p3p1_decomposition(g)[0]
+    assert _dominating_within(g, vs) == set(vs)
+    colours = [res.witnesses[4].colours[v] for v in vs]
+    assert len(set(colours)) == len(colours)
+
+
+def test_fall_reports_pinned():
+    """Path, spectrum and witnesses of ``fall_uniqueness_report`` on every
+    (P3+P1)-free graph with at most 6 vertices, against a recorded digest."""
+    digest = hashlib.sha256()
+    count = 0
+    for g in all_graphs_up_to(6):
+        if p3p1_decomposition(g) is None:
+            continue
+        rep = fall_uniqueness_report(g)
+        witnesses = [rep.spectrum.witnesses[k].colours for k in rep.spectrum.values]
+        digest.update(repr((g.adj, rep.path, rep.spectrum.values, witnesses)).encode())
+        count += 1
+    assert count == 7078
+    assert digest.hexdigest() == ("2b45f24413f000f14c95882f6a81ca88"
+                                  "1280e947bf6fe8b6be733d5727baec9c")

@@ -16,4 +16,5 @@ def test_quick_tour_runs():
     assert names["colouring"].colours == (3, 1, 2, 3, 1)
     assert names["oracle"].status == "found"
     assert names["verdict"].family == "P4+sP1 (s=1)"
-    assert names["result"].spectrum.values == (4,)
+    assert names["spectrum"].values == (4,)
+    assert names["spectrum"].witnesses[4].colours == (1, 2, 3, 4)

@@ -1,20 +1,22 @@
 """Partial b-colourings, the extension engine, and the two class solvers."""
 
+import hashlib
 import itertools
 import random
 
 import pytest
 
-from bchromatic.graphs import (Graph, analyze_tight, is_tight_b_colouring)
+from bchromatic.graphs import (Graph, analyze_tight, co_components,
+                               is_tight_b_colouring)
 from bchromatic.oracles import NotTightError, tight_b_exact
-from bchromatic.patterns import pattern_graph
+from bchromatic.patterns import p3p1_decomposition, pattern_graph
 from bchromatic.tight import (PartialViolation, PreconditionError,
                               boundary_forcings, dense_partition,
                               extend_partial, is_b_precolouring_extension,
                               solve_tight, tight_b_2p2p1_free,
                               tight_b_p3p1_free, validate_partial)
 
-from helpers import (check_dense_structure, footnote_graph,
+from helpers import (all_graphs_up_to, check_dense_structure, footnote_graph,
                      sample_tight_in_class, random_graph)
 
 P5 = pattern_graph("P5")  # tight, dense {1,2,3}, boundary {0,4}
@@ -168,6 +170,42 @@ def test_clique_union_fixtures():
     assert res.path == "(P3+P1)-free"
     assert res.colouring.colours == (1, 2, 3, 4, 1, 2, 1, 2, 1, 2)
     assert tight_b_exact(k4_3p2).status == "found"
+
+
+def test_tight_joins_are_complete_or_refuted():
+    """A tight graph with two or more co-components has a tight
+    b-colouring only when it is complete, on every labelled graph with at
+    most 6 vertices; ``solve_tight`` agrees with the exact oracle on each."""
+    joins = complete = 0
+    for g in all_graphs_up_to(6):
+        if not analyze_tight(g).is_tight or len(co_components(g)) < 2:
+            continue
+        joins += 1
+        exact = tight_b_exact(g).status
+        if g.edge_count() == g.n * (g.n - 1) // 2:
+            complete += 1
+            assert exact == "found"
+        else:
+            assert exact == "absent", g.adj
+        assert solve_tight(g).status == exact, g.adj
+    assert (joins, complete) == (95, 5)
+
+
+def test_tight_solves_pinned():
+    """Path, status and colouring of ``solve_tight`` on every tight
+    (P3+P1)-free graph with at most 6 vertices, against a recorded digest."""
+    digest = hashlib.sha256()
+    count = 0
+    for g in all_graphs_up_to(6):
+        if p3p1_decomposition(g) is None or not analyze_tight(g).is_tight:
+            continue
+        res = solve_tight(g)
+        colours = res.colouring and res.colouring.colours
+        digest.update(repr((g.adj, res.path, res.status, colours)).encode())
+        count += 1
+    assert count == 635
+    assert digest.hexdigest() == ("9e24ed28f50a70cdedab8710e20b4991"
+                                  "4660904040832c00cc6e133464a86420")
 
 
 def test_clique_union_solver_against_oracle():
