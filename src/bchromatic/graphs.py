@@ -285,13 +285,29 @@ def is_b_chromatic_vertex(g: Graph, c: Colouring, v: int) -> bool:
     return need <= _neighbour_colours(g, c, v)
 
 
+def _has_b_vertex_everywhere(g: Graph, class_masks: list[int]) -> bool:
+    """Every class has a member with a neighbour in each other class; the
+    b-colouring oracle calls this at every leaf of its search."""
+    k = len(class_masks)
+    for i, mask in enumerate(class_masks):
+        ok = False
+        for v in bits(mask):
+            seen = 0
+            for j, other in enumerate(class_masks):
+                if j != i and g.adj[v] & other:
+                    seen += 1
+            if seen == k - 1:
+                ok = True
+                break
+        if not ok:
+            return False
+    return True
+
+
 def is_b_colouring(g: Graph, c: Colouring) -> bool:
     """Every colour class contains a vertex adjacent to all other colours."""
     _require_proper(g, c)
-    for _, members in c.classes().items():
-        if not any(is_b_chromatic_vertex(g, c, v) for v in members):
-            return False
-    return True
+    return _has_b_vertex_everywhere(g, list(c.class_masks().values()))
 
 
 def is_fall_colouring(g: Graph, c: Colouring) -> bool:

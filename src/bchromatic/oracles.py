@@ -1,11 +1,15 @@
 """Exact exponential-time solvers used as ground truth at desk scale.
 
-Everything here is exhaustive search with pruning: partition backtracking
-for chromatic and b-chromatic numbers, maximal-independent-set enumeration
-plus exact cover for fall spectra, rainbow-neighbourhood backtracking for
-tight b-colourings, plain DFS for 3-edge-colourings and 1-in-3
-satisfiability, and minimal-vertex-cover enumeration plus blossom matching
-for minimum maximal matchings.
+Everything here is exhaustive search with pruning.  One canonical partition
+search, ``_colour_search``, finds the first colouring with exactly k
+colour classes that passes a leaf test; it serves the chromatic number
+(degree order, k from the clique number up), the b-chromatic number (index
+order, every class needs a b-vertex) and 3-edge-colourings (3-colourings of
+the line graph, edges in index order).  The rest: maximal-independent-set
+enumeration plus exact cover for fall spectra, rainbow-neighbourhood
+backtracking for tight b-colourings, plain DFS for 1-in-3 satisfiability,
+and minimal-vertex-cover enumeration plus blossom matching for minimum
+maximal matchings.
 
 Vertex budgets guard the calls that are exponential in n (for 1-in-3
 satisfiability, n counts the formula's variables).  Every oracle's
@@ -20,9 +24,10 @@ maximal independent sets are the maximal cliques of the (sparse) complement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
-from .graphs import (Colouring, Graph, GraphError, analyze_tight, bits,
-                     is_maximal_independent_set, m_degree)
+from .graphs import (Colouring, Graph, GraphError, _has_b_vertex_everywhere,
+                     analyze_tight, bits, is_maximal_independent_set, m_degree)
 from .matching import maximum_matching
 
 DEFAULT_NP_BUDGET = 16
@@ -123,30 +128,53 @@ def maximal_independent_sets(g: Graph) -> list[int]:
     return sets
 
 
-# -- chromatic number --------------------------------------------------------
+# -- the colouring search ----------------------------------------------------
 
 
-def _exists_colouring(g: Graph, k: int) -> list[int] | None:
-    """Proper colouring with at most k colours, canonical colour order."""
-    n = g.n
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    colour = [0] * n
+def _colour_search(adj: Sequence[int], k: int, order: list[int],
+                   accept: Callable[[list[int]], bool] | None = None) -> list[int] | None:
+    """The first colouring, in lexicographic order along ``order``, that
+    splits the vertices of ``order`` into exactly k independent classes
+    accepted by ``accept(classes)``; colours 1..k as a list indexed by vertex.
 
-    def rec(i: int, used: int) -> bool:
+    The search is canonical: each vertex joins an existing class it has no
+    neighbour in, lowest first, or else opens the next class while fewer
+    than k are open, and a subtree is cut when the open classes plus the
+    vertices left cannot reach k.  ``accept`` must not depend on the colour
+    names; then the first canonical leaf is the lexicographically first
+    accepted colouring, since renaming the colours of any other in order of
+    first appearance gives a smaller canonical one.
+    """
+    n = len(order)
+    colour = [0] * len(adj)
+    classes: list[int] = []
+
+    def rec(i: int) -> bool:
+        if len(classes) + (n - i) < k:
+            return False
         if i == n:
-            return True
+            return accept is None or accept(classes)
         v = order[i]
-        limit = min(used + 1, k)
-        for c in range(1, limit + 1):
-            if any(colour[w] == c for w in bits(g.adj[v])):
-                continue
-            colour[v] = c
-            if rec(i + 1, max(used, c)):
+        bit = 1 << v
+        for j in range(len(classes)):
+            if not adj[v] & classes[j]:
+                classes[j] |= bit
+                colour[v] = j + 1
+                if rec(i + 1):
+                    return True
+                classes[j] &= ~bit
+        if len(classes) < k:
+            classes.append(bit)
+            colour[v] = len(classes)
+            if rec(i + 1):
                 return True
-            colour[v] = 0
+            classes.pop()
         return False
 
-    return colour[:] if rec(0, 0) else None
+    return colour if rec(0) else None
+
+
+# -- chromatic number --------------------------------------------------------
 
 
 def _small_independence_chromatic(g: Graph) -> tuple[int, Colouring]:
@@ -212,9 +240,11 @@ def chromatic_number(g: Graph, *, budget: int | None = None) -> tuple[int, Colou
         return 0, Colouring((), 0)
     if _past_limit(g.n, budget, DEFAULT_NP_BUDGET, "chromatic", raised=g):
         return _small_independence_chromatic(g)
-    lower = clique_number(g)
-    for k in range(lower, g.n + 1):
-        found = _exists_colouring(g, k)
+    # fewer than omega colours are impossible and k-1 has failed before k is
+    # tried, so a colouring with at most k colours uses exactly k
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    for k in range(clique_number(g), g.n + 1):
+        found = _colour_search(g.adj, k, order)
         if found is not None:
             return k, Colouring.from_values(found)
     raise AssertionError("unreachable: n colours always suffice")
@@ -223,53 +253,14 @@ def chromatic_number(g: Graph, *, budget: int | None = None) -> tuple[int, Colou
 # -- b-chromatic number -------------------------------------------------------
 
 
-def _has_b_vertex_everywhere(g: Graph, class_masks: list[int]) -> bool:
-    k = len(class_masks)
-    for i, mask in enumerate(class_masks):
-        ok = False
-        for v in bits(mask):
-            seen = 0
-            for j, other in enumerate(class_masks):
-                if j != i and g.adj[v] & other:
-                    seen += 1
-            if seen == k - 1:
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
-
-
 def b_colouring_with(g: Graph, k: int, *, budget: int | None = None) -> Colouring | None:
     """A b-colouring using exactly k colours, or None."""
     _past_limit(g.n, budget, DEFAULT_NP_BUDGET, "b-colouring")
     if k < 1 or k > g.n:
         return None
-    colour = [0] * g.n
-    classes: list[int] = []
-
-    def rec(v: int) -> bool:
-        if len(classes) + (g.n - v) < k or len(classes) > k:
-            return False
-        if v == g.n:
-            return len(classes) == k and _has_b_vertex_everywhere(g, classes)
-        for i in range(len(classes)):
-            if not g.adj[v] & classes[i]:
-                classes[i] |= 1 << v
-                colour[v] = i + 1
-                if rec(v + 1):
-                    return True
-                classes[i] &= ~(1 << v)
-        if len(classes) < k:
-            classes.append(1 << v)
-            colour[v] = len(classes)
-            if rec(v + 1):
-                return True
-            classes.pop()
-        colour[v] = 0
-        return False
-
-    return Colouring.from_values(colour) if rec(0) else None
+    found = _colour_search(g.adj, k, list(range(g.n)),
+                           lambda classes: _has_b_vertex_everywhere(g, classes))
+    return None if found is None else Colouring.from_values(found)
 
 
 def b_chromatic_number(g: Graph, *, budget: int | None = None) -> tuple[int, Colouring]:
@@ -324,13 +315,11 @@ def tight_b_exact(g: Graph, *, node_budget: int | None = None) -> TightSearch:
     used_around = {u: 0 for u in dense}
     for i, u in enumerate(dense):
         colour[u] = i + 1
+    # only the dense vertices are coloured yet, each with its own colour
     for u in dense:
         for v in bits(closed[u]):
             if colour[v]:
-                bit = 1 << (colour[v] - 1)
-                if used_around[u] & bit:
-                    return TightSearch("absent", None, 0)
-                used_around[u] |= bit
+                used_around[u] |= 1 << (colour[v] - 1)
 
     uncoloured = [v for v in range(g.n) if colour[v] == 0]
     nodes = 0
@@ -363,15 +352,13 @@ def tight_b_exact(g: Graph, *, node_budget: int | None = None) -> TightSearch:
             if nodes > node_budget:
                 return "inconclusive"
             colour[v] = c + 1
-            touched = []
             for u in watchers[v]:
                 used_around[u] |= 1 << c
-                touched.append(u)
             sub = rec(rest)
             if sub == "found":
                 return "found"
             colour[v] = 0
-            for u in touched:
+            for u in watchers[v]:
                 used_around[u] &= ~(1 << c)
             if sub == "inconclusive":
                 return "inconclusive"
@@ -441,27 +428,15 @@ def three_edge_colouring(g: Graph, *, budget: int | None = None) -> dict[tuple[i
     if any(g.degree(v) != 3 for v in range(g.n)):
         raise NotCubicError("3-edge-colouring oracle expects a cubic graph")
     _past_limit(g.n, budget, DEFAULT_NP_BUDGET, "edge-colouring")
+    # a proper 3-edge-colouring is a 3-colouring of the line graph
     edges = g.edges()
-    at_vertex: dict[int, list[int]] = {v: [] for v in range(g.n)}
+    at_vertex = [0] * g.n
     for i, (u, v) in enumerate(edges):
-        at_vertex[u].append(i)
-        at_vertex[v].append(i)
-    col = [0] * len(edges)
-
-    def rec(i: int) -> bool:
-        if i == len(edges):
-            return True
-        u, v = edges[i]
-        banned = {col[j] for j in at_vertex[u] + at_vertex[v] if col[j]}
-        for c in (1, 2, 3):
-            if c not in banned:
-                col[i] = c
-                if rec(i + 1):
-                    return True
-                col[i] = 0
-        return False
-
-    if not rec(0):
+        at_vertex[u] |= 1 << i
+        at_vertex[v] |= 1 << i
+    line = [(at_vertex[u] | at_vertex[v]) & ~(1 << i) for i, (u, v) in enumerate(edges)]
+    col = _colour_search(line, 3 if edges else 0, list(range(len(edges))))
+    if col is None:
         return None
     return {edges[i]: col[i] for i in range(len(edges))}
 

@@ -1,14 +1,16 @@
 """Ground-truth solvers: pinned values, invariants, and pruning soundness."""
 
+import itertools
 import random
 
 import pytest
 
 from bchromatic.gadgets import (FORMULA_N3_SATISFIABLE, edge3col_instance,
-                                odd_crown_graph, petersen_graph)
-from bchromatic.graphs import (Colouring, Graph, analyze_tight, is_b_colouring,
-                               is_fall_colouring, is_maximal_independent_set,
-                               is_tight_b_colouring, m_degree)
+                                odd_crown_graph, petersen_graph, prism_graph)
+from bchromatic.graphs import (Colouring, Graph, analyze_tight, is_b_chromatic_vertex,
+                               is_b_colouring, is_fall_colouring,
+                               is_maximal_independent_set, is_tight_b_colouring,
+                               m_degree)
 from bchromatic.oracles import (BudgetExceededError, Formula33, FormulaError,
                                 NotCubicError, NotTightError,
                                 b_chromatic_number, b_colouring_with,
@@ -19,7 +21,8 @@ from bchromatic.oracles import (BudgetExceededError, Formula33, FormulaError,
 from bchromatic.patterns import pattern_graph
 
 from helpers import (all_graphs, all_graphs_up_to, brute_min_maximal_matching_size,
-                     cyclic_formula, footnote_graph, naive_fall_spectrum, naive_tight_b_colourings,
+                     cyclic_formula, footnote_graph, independent_set_partitions,
+                     masks_to_colouring, naive_fall_spectrum, naive_tight_b_colourings,
                      random_graph)
 
 
@@ -48,6 +51,24 @@ def test_b_chromatic_examples():
     phi, w = b_chromatic_number(odd_crown_graph(3))
     assert phi >= 3 and is_b_colouring(odd_crown_graph(3), w)
     assert b_colouring_with(pattern_graph("C4"), 3) is None
+
+
+def test_b_colouring_with_matches_the_unpruned_enumeration():
+    """The witness for every k, 0 and n+1 included, is the first partition
+    into k independent classes, in canonical enumeration order, whose every
+    class has a b-chromatic member: the search may prune, never reorder."""
+    for g in all_graphs_up_to(5):
+        for k in range(g.n + 2):
+            want = None
+            for masks in independent_set_partitions(g):
+                if len(masks) != k:
+                    continue
+                c = masks_to_colouring(g, masks)
+                if all(any(is_b_chromatic_vertex(g, c, v) for v in members)
+                       for members in c.classes().values()):
+                    want = c
+                    break
+            assert b_colouring_with(g, k) == want, (g.adj, k)
 
 
 def test_budget_errors():
@@ -146,6 +167,19 @@ def test_three_edge_colouring():
     assert three_edge_colouring(petersen_graph()) is None
     with pytest.raises(NotCubicError):
         three_edge_colouring(pattern_graph("C4"))
+
+
+def test_three_edge_colouring_is_the_first_in_lexicographic_order():
+    """Edges in index order, colours 1-3: the witness is the first proper
+    colouring that ``itertools.product`` yields."""
+    k33 = Graph.from_edges(6, [(i, 3 + j) for i in range(3) for j in range(3)])
+    for g in (pattern_graph("K4"), k33, prism_graph()):
+        edges = g.edges()
+        first = next(cols for cols in itertools.product((1, 2, 3), repeat=len(edges))
+                     if all(cols[i] != cols[j]
+                            for i, j in itertools.combinations(range(len(edges)), 2)
+                            if set(edges[i]) & set(edges[j])))
+        assert three_edge_colouring(g) == dict(zip(edges, first))
 
 
 def test_one_in_three_sat():
