@@ -3,13 +3,18 @@
 Everything here is exhaustive search with pruning.  One canonical partition
 search, ``_colour_search``, finds the first colouring with exactly k
 colour classes that passes a leaf test; it serves the chromatic number
-(degree order, k from the clique number up), the b-chromatic number (index
-order, every class needs a b-vertex) and 3-edge-colourings (3-colourings of
-the line graph, edges in index order).  The rest: maximal-independent-set
-enumeration plus exact cover for fall spectra, rainbow-neighbourhood
-backtracking for tight b-colourings, plain DFS for 1-in-3 satisfiability,
-and minimal-vertex-cover enumeration plus blossom matching for minimum
-maximal matchings.
+(degree order, k from the clique number up), the b-chromatic number (every
+class needs a b-vertex) and 3-edge-colourings (3-colourings of the line
+graph, edges in index order).  An optional per-node test may cut only
+subtrees that hold no accepted leaf, so the first leaf, and with it every
+witness, is the same with or without it.  The b-colouring search passes
+one that cuts a node once some class can no longer get a b-vertex; the
+b-chromatic number refutes each k above it in order of decreasing degree
+and takes the witness from one search in index order.  The rest:
+maximal-independent-set enumeration plus exact cover for fall spectra,
+rainbow-neighbourhood backtracking for tight b-colourings, plain DFS for
+1-in-3 satisfiability, and minimal-vertex-cover enumeration plus blossom
+matching for minimum maximal matchings.
 
 Vertex budgets guard the calls that are exponential in n (for 1-in-3
 satisfiability, n counts the formula's variables).  Every oracle's
@@ -132,7 +137,8 @@ def maximal_independent_sets(g: Graph) -> list[int]:
 
 
 def _colour_search(adj: Sequence[int], k: int, order: list[int],
-                   accept: Callable[[list[int]], bool] | None = None) -> list[int] | None:
+                   accept: Callable[[list[int]], bool] | None = None,
+                   alive: Callable[[list[int], int], bool] | None = None) -> list[int] | None:
     """The first colouring, in lexicographic order along ``order``, that
     splits the vertices of ``order`` into exactly k independent classes
     accepted by ``accept(classes)``; colours 1..k as a list indexed by vertex.
@@ -144,16 +150,26 @@ def _colour_search(adj: Sequence[int], k: int, order: list[int],
     names; then the first canonical leaf is the lexicographically first
     accepted colouring, since renaming the colours of any other in order of
     first appearance gives a smaller canonical one.
+
+    ``alive(classes, left)``, if given, is asked at every inner node, with
+    ``left`` the bitmask of the vertices not yet coloured, and False cuts
+    the node.  It may cut only subtrees that hold no accepted leaf; then
+    the first accepted leaf, and so the answer, is the same as without it.
     """
     n = len(order)
     colour = [0] * len(adj)
     classes: list[int] = []
+    left = [0] * (n + 1)  # left[i]: the vertices order[i:]
+    for i in range(n - 1, -1, -1):
+        left[i] = left[i + 1] | 1 << order[i]
 
     def rec(i: int) -> bool:
         if len(classes) + (n - i) < k:
             return False
         if i == n:
             return accept is None or accept(classes)
+        if alive is not None and not alive(classes, left[i]):
+            return False
         v = order[i]
         bit = 1 << v
         for j in range(len(classes)):
@@ -253,25 +269,116 @@ def chromatic_number(g: Graph, *, budget: int | None = None) -> tuple[int, Colou
 # -- b-chromatic number -------------------------------------------------------
 
 
+def _b_vertex_prune(g: Graph, k: int) -> Callable[[list[int], int], bool]:
+    """The per-node test of a b-colouring search with k colours: False when
+    the open classes can no longer all get a b-vertex.
+
+    A b-vertex sees k-1 other colours, so its degree is at least k-1; call
+    such a vertex big.  A big member of a class can still be its b-vertex
+    if the distinct classes of its coloured neighbours plus its uncoloured
+    neighbours number k-1 or more.  A class with no such member needs an
+    uncoloured big vertex with no neighbour in it, to join it later as its
+    b-vertex, and so does each class not opened yet.  The test fails when
+    some class has no candidate or the uncoloured big vertices are too few
+    for all the classes that need one.  Every b-colouring below the node
+    takes the b-vertex of each class from its candidates, a different
+    vertex for each class, so a failed test cuts no b-colouring.
+    """
+    adj = g.adj
+    need = k - 1
+    big = 0  # once per k
+    for v in range(g.n):
+        if adj[v].bit_count() >= need:
+            big |= 1 << v
+    # per set of uncoloured vertices, which the search meets once per depth:
+    # the uncoloured big vertices, and the coloured ones with k-1 uncoloured
+    # neighbours, which need no look at the classes
+    by_left: dict[int, tuple[int, int]] = {}
+
+    def alive(classes: list[int], left: int) -> bool:
+        got = by_left.get(left)
+        if got is None:
+            rich = 0
+            rest = big & ~left
+            while rest:
+                low = rest & -rest
+                if (adj[low.bit_length() - 1] & left).bit_count() >= need:
+                    rich |= low
+                rest ^= low
+            got = by_left[left] = (left & big, rich)
+        pool, rich = got
+        spare = pool.bit_count() - (k - len(classes))
+        if spare < 0:
+            return False
+        # the bit loops are written out: this runs at every node
+        for c in classes:
+            if c & rich:
+                continue
+            rest = c & big
+            while rest:
+                low = rest & -rest
+                a = adj[low.bit_length() - 1]
+                seen = (a & left).bit_count()
+                for d in classes:
+                    if a & d:
+                        seen += 1
+                if seen >= need:
+                    break
+                rest ^= low
+            if rest:
+                continue
+            if not spare:
+                return False
+            rest = pool
+            while rest:
+                low = rest & -rest
+                if not adj[low.bit_length() - 1] & c:
+                    break
+                rest ^= low
+            if not rest:
+                return False
+            spare -= 1
+        return True
+
+    return alive
+
+
+def _b_colouring(g: Graph, k: int, order: list[int]) -> list[int] | None:
+    """The first b-colouring with exactly k colours along ``order``, as a
+    colour list, or None."""
+    return _colour_search(g.adj, k, order,
+                          lambda classes: _has_b_vertex_everywhere(g, classes),
+                          _b_vertex_prune(g, k))
+
+
 def b_colouring_with(g: Graph, k: int, *, budget: int | None = None) -> Colouring | None:
     """A b-colouring using exactly k colours, or None."""
     _past_limit(g.n, budget, DEFAULT_NP_BUDGET, "b-colouring")
     if k < 1 or k > g.n:
         return None
-    found = _colour_search(g.adj, k, list(range(g.n)),
-                           lambda classes: _has_b_vertex_everywhere(g, classes))
+    # k b-vertices of degree >= k-1 are needed, so k > m(G) has none
+    if sum(1 for v in range(g.n) if g.degree(v) >= k - 1) < k:
+        return None
+    found = _b_colouring(g, k, list(range(g.n)))
     return None if found is None else Colouring.from_values(found)
 
 
 def b_chromatic_number(g: Graph, *, budget: int | None = None) -> tuple[int, Colouring]:
-    """Largest k admitting a b-colouring with exactly k colours, searched
-    top-down from the m-degree."""
+    """Largest k admitting a b-colouring with exactly k colours, and the
+    witness ``b_colouring_with(g, k)``.
+
+    k runs down from the m-degree, searched in order of decreasing degree,
+    which refutes a k above the b-chromatic number far sooner than index
+    order.  The first k found is searched once more in index order for
+    the witness; the prune cuts no accepted leaf, so the witness is the
+    first b-colouring with k colours in lexicographic order."""
     if g.n == 0:
         return 0, Colouring((), 0)
+    _past_limit(g.n, budget, DEFAULT_NP_BUDGET, "b-colouring")
+    by_degree = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     for k in range(m_degree(g), 0, -1):
-        c = b_colouring_with(g, k, budget=budget)
-        if c is not None:
-            return k, c
+        if _b_colouring(g, k, by_degree) is not None:
+            return k, b_colouring_with(g, k, budget=budget)
     raise AssertionError("unreachable: every graph has a b-colouring")
 
 

@@ -7,12 +7,13 @@ import pytest
 
 from bchromatic.gadgets import (FORMULA_N3_SATISFIABLE, edge3col_instance,
                                 odd_crown_graph, petersen_graph, prism_graph)
-from bchromatic.graphs import (Colouring, Graph, analyze_tight, is_b_chromatic_vertex,
-                               is_b_colouring, is_fall_colouring,
+from bchromatic.graphs import (Colouring, Graph, _has_b_vertex_everywhere, analyze_tight,
+                               is_b_chromatic_vertex, is_b_colouring, is_fall_colouring,
                                is_maximal_independent_set, is_tight_b_colouring,
                                m_degree)
 from bchromatic.oracles import (BudgetExceededError, Formula33, FormulaError,
-                                NotCubicError, NotTightError,
+                                NotCubicError, NotTightError, _b_vertex_prune,
+                                _colour_search,
                                 b_chromatic_number, b_colouring_with,
                                 chromatic_number, clique_number, fall_spectrum,
                                 maximal_independent_sets,
@@ -71,6 +72,42 @@ def test_b_colouring_with_matches_the_unpruned_enumeration():
             assert b_colouring_with(g, k) == want, (g.adj, k)
 
 
+def test_b_vertex_prune_keeps_the_first_leaf():
+    """With the b-vertex prune the search returns the very colouring (or
+    None) it returns without it, for every k, in index and in degree order:
+    the prune cuts only subtrees that hold no b-colouring."""
+    rng = random.Random(5)
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(7, 9), rng.random())
+        accept = lambda classes, g=g: _has_b_vertex_everywhere(g, classes)  # noqa: E731
+        by_degree = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+        for order in (list(range(g.n)), by_degree):
+            for k in range(g.n + 2):
+                want = _colour_search(g.adj, k, order, accept)
+                got = _colour_search(g.adj, k, order, accept, _b_vertex_prune(g, k))
+                assert got == want, (g.adj, order, k)
+
+
+def test_b_vertex_prune_waits_for_vertices_still_to_come():
+    """Once 0, 1 and 2 are coloured, vertex 2 sees one other colour and has
+    no uncoloured neighbour, but vertex 5, still to come, joins its class
+    and is its b-vertex; a prune that cut there would report b = 2."""
+    g = Graph.from_edges(6, [(0, 2), (0, 4), (1, 2), (1, 4), (3, 5), (4, 5)])
+    assert b_chromatic_number(g)[0] == 3
+    assert b_colouring_with(g, 3) is not None
+
+
+def test_b_chromatic_number_on_a_hard_16_vertex_graph():
+    """Before the b-vertex prune this graph took 25-40 s on a 2-CPU host:
+    every k above b(G) was a full failed search.  Value and witness as
+    recorded then."""
+    g = random_graph(random.Random(1), 16, 0.3)
+    k, w = b_chromatic_number(g)
+    assert k == 5
+    assert w.colours == (1, 2, 1, 1, 2, 3, 3, 1, 3, 4, 3, 3, 5, 4, 5, 5)
+    assert is_b_colouring(g, w)
+
+
 def test_budget_errors():
     big = Graph.empty(40)
     with pytest.raises(BudgetExceededError):
@@ -80,6 +117,11 @@ def test_budget_errors():
     with pytest.raises(BudgetExceededError, match=r"1-in-3 oracle limited to n<=30, got n=240"):
         one_in_three_sat(cyclic_formula(240))
     assert sum(one_in_three_sat(cyclic_formula(240), budget=240)) == 80
+    for oracle in (b_chromatic_number, lambda g: b_colouring_with(g, 2)):
+        with pytest.raises(BudgetExceededError,
+                           match=r"^b-colouring oracle limited to n<=16, got n=17$"):
+            oracle(pattern_graph("P17"))
+    assert b_chromatic_number(Graph.empty(0)) == (0, Colouring((), 0))
 
 
 def test_tight_b_exact_examples():
