@@ -23,6 +23,7 @@ Colouring vocabulary used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator
 
 
@@ -44,6 +45,10 @@ class ImproperColouringError(ColouringError):
     def __init__(self, edge: tuple[int, int]):
         self.edge = edge
         super().__init__(f"colouring is improper on edge {edge}")
+
+
+# the digits of bin() as the bytes 0 and 1
+_FLAG_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -99,8 +104,15 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
 
+    def higher_flags(self, u: int) -> bytes:
+        """Byte i is 1 if u + 1 + i is a neighbour of u and 0 if not, up to
+        u's highest neighbour: selectors for ``itertools.compress``."""
+        return bin(self.adj[u] >> (u + 1))[:1:-1].encode().translate(_FLAG_BYTES)
+
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in bits(self.adj[u]) if v > u]
+        """Every edge (u, v) with u < v, in increasing order."""
+        n = self.n
+        return [(u, v) for u in range(n) for v in compress(range(u + 1, n), self.higher_flags(u))]
 
     def edge_count(self) -> int:
         return sum(a.bit_count() for a in self.adj) // 2

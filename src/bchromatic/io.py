@@ -18,6 +18,7 @@ clause per line as three 1-based variable indices.
 from __future__ import annotations
 
 import hashlib
+from itertools import compress
 from pathlib import Path
 
 from .graphs import Graph, GraphError
@@ -31,41 +32,61 @@ class ParseError(ValueError):
 
 
 def write_dimacs(g: Graph) -> str:
+    """Canonical DIMACS text: the true edge count in the header, then the
+    edges u < v in increasing order, 1-based."""
+    names = [str(v + 1) for v in range(g.n)]
     lines = [f"p edge {g.n} {g.edge_count()}"]
-    lines += [f"e {u + 1} {v + 1}" for u, v in g.edges()]
+    for u in range(g.n):
+        higher = list(compress(names[u + 1:], g.higher_flags(u)))
+        if higher:
+            head = f"e {names[u]} "
+            lines.append(head + ("\n" + head).join(higher))
     return "\n".join(lines) + "\n"
 
 
 def parse_dimacs(text: str) -> Graph:
     n = None
-    edges: list[tuple[int, int]] = []
+    adj: list[int] = []
+    index: dict[str, int] = {}  # vertex tokens read so far -> 0-based vertex
+    lookup = index.get
     for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
-        if parts[0] == "p":
-            if n is not None:
-                raise ParseError(i, "duplicate problem line")
-            if len(parts) != 4 or parts[1] not in ("edge", "edges", "col"):
-                raise ParseError(i, f"malformed problem line {line!r}")
-            n = int(parts[2])
-        elif parts[0] == "e":
+        record = parts[0]
+        if record == "e":
             if n is None:
                 raise ParseError(i, "edge before problem line")
             if len(parts) != 3:
-                raise ParseError(i, f"malformed edge line {line!r}")
-            u, v = int(parts[1]) - 1, int(parts[2]) - 1
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParseError(i, f"edge ({parts[1]}, {parts[2]}) out of range")
+                raise ParseError(i, f"malformed edge line {raw.strip()!r}")
+            _, a, b = parts
+            u, v = lookup(a), lookup(b)
+            if u is None or v is None:
+                # first sight of a token: int() also takes spellings like 01 and +1
+                u, v = int(a) - 1, int(b) - 1
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ParseError(i, f"edge ({a}, {b}) out of range")
+                index[a], index[b] = u, v
             if u == v:
                 raise ParseError(i, "self-loop")
-            edges.append((u, v))
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        elif record[0] == "c":
+            continue
+        elif record == "p":
+            if n is not None:
+                raise ParseError(i, "duplicate problem line")
+            if len(parts) != 4 or parts[1] not in ("edge", "edges", "col"):
+                raise ParseError(i, f"malformed problem line {raw.strip()!r}")
+            n = int(parts[2])
+            adj = [0] * n
         else:
-            raise ParseError(i, f"unknown record {parts[0]!r}")
+            raise ParseError(i, f"unknown record {record!r}")
     if n is None:
         raise ParseError(0, "missing problem line")
-    return Graph.from_edges(n, edges)
+    if n < 0:
+        raise GraphError(f"vertex count must be non-negative, got {n}")
+    return Graph(n, tuple(adj))
 
 
 def write_edge_list(g: Graph) -> str:

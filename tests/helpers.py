@@ -164,6 +164,18 @@ def reference_witness_table(n: int, h: Graph) -> dict[int, tuple[int, ...]]:
     return table
 
 
+def naive_edges(g: Graph) -> list[tuple[int, int]]:
+    """Every edge (u, v) with u < v, read off ``bits`` vertex by vertex."""
+    return [(u, v) for u in range(g.n) for v in bits(g.adj[u]) if v > u]
+
+
+def naive_write_dimacs(g: Graph) -> str:
+    """The canonical DIMACS text, one f-string per edge."""
+    lines = [f"p edge {g.n} {g.edge_count()}"]
+    lines += [f"e {u + 1} {v + 1}" for u, v in naive_edges(g)]
+    return "\n".join(lines) + "\n"
+
+
 def independent_set_partitions(g: Graph):
     """All partitions of V into non-empty independent sets, as lists of
     masks (canonical enumeration: each vertex joins an existing class or

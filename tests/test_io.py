@@ -1,17 +1,20 @@
 """File format round trips and parse errors."""
 
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bchromatic.gadgets import FORMULA_N6_UNSATISFIABLE, petersen_graph
-from bchromatic.graphs import Graph
+from bchromatic.graphs import Graph, GraphError
 from bchromatic.io import (ParseError, graph_digest, load_graph, parse_dimacs,
                            parse_edge_list, parse_formula, write_dimacs,
                            write_edge_list, write_formula)
 from bchromatic.patterns import pattern_graph
 
-from helpers import random_graph
+from helpers import naive_edges, naive_write_dimacs, random_graph
 
 
 def test_dimacs_round_trip():
@@ -69,3 +72,135 @@ def test_edge_list_declared_n():
     assert g.n == 5 and g.edge_count() == 1
     with pytest.raises(ParseError):
         parse_edge_list("n 2\n0 4\n")
+
+
+# Malformed DIMACS text -> (exception type, str(exc), line_no); line_no is
+# None for errors that are not ParseErrors.  The precedence is part of the
+# contract: a line fails on its first broken check.
+DIMACS_ERRORS = [
+    ("e 1", ParseError, "line 1: edge before problem line", 1),
+    ("p edge 3 0\ne 1", ParseError, "line 2: malformed edge line 'e 1'", 2),
+    ("p edge 3 0\n  e 1 2 3 ", ParseError, "line 2: malformed edge line 'e 1 2 3'", 2),
+    ("p edge 3 0\ne 1 1", ParseError, "line 2: self-loop", 2),
+    ("p edge 3 0\ne 0 1", ParseError, "line 2: edge (0, 1) out of range", 2),
+    ("p edge 3 0\ne 5 5", ParseError, "line 2: edge (5, 5) out of range", 2),
+    ("p edge 3 0\ne 2 01\ne 1 1_0", ParseError, "line 3: edge (1, 1_0) out of range", 3),
+    ("c head\ne 1 2\n", ParseError, "line 2: edge before problem line", 2),
+    ("p edge 3 0\np edge 3 0", ParseError, "line 2: duplicate problem line", 2),
+    ("p edge 3 0\np edge 3", ParseError, "line 2: duplicate problem line", 2),
+    ("p edge 3", ParseError, "line 1: malformed problem line 'p edge 3'", 1),
+    (" p  foo 3 0 ", ParseError, "line 1: malformed problem line 'p  foo 3 0'", 1),
+    ("p", ParseError, "line 1: malformed problem line 'p'", 1),
+    ("p edge 3 0\nq 1 2", ParseError, "line 2: unknown record 'q'", 2),
+    ("pedge 3 0", ParseError, "line 1: unknown record 'pedge'", 1),
+    ("p edge 3 0\ne1 2", ParseError, "line 2: unknown record 'e1'", 2),
+    ("p edge -2 0\nq", ParseError, "line 2: unknown record 'q'", 2),
+    ("p edge -1 0\ne 1 2", ParseError, "line 2: edge (1, 2) out of range", 2),
+    ("", ParseError, "line 0: missing problem line", 0),
+    ("c only\n  \n\t\n", ParseError, "line 0: missing problem line", 0),
+    ("p edge 3 0\ne 1 x", ValueError, "invalid literal for int() with base 10: 'x'", None),
+    ("p edge 3 0\ne x 9", ValueError, "invalid literal for int() with base 10: 'x'", None),
+    ("p edge 3 0\ne 9 x", ValueError, "invalid literal for int() with base 10: 'x'", None),
+    ("p edge 3 0\ne 2 1\ne 1 y", ValueError, "invalid literal for int() with base 10: 'y'", None),
+    ("p edge x 0", ValueError, "invalid literal for int() with base 10: 'x'", None),
+    ("p edge -1 0", GraphError, "vertex count must be non-negative, got -1", None),
+]
+
+
+@pytest.mark.parametrize("text, kind, message, line_no", DIMACS_ERRORS)
+def test_dimacs_error_parity(text, kind, message, line_no):
+    with pytest.raises(ValueError) as err:
+        parse_dimacs(text)
+    assert type(err.value) is kind
+    assert str(err.value) == message
+    assert getattr(err.value, "line_no", None) == line_no
+
+
+# Odd spellings the parser accepts -> the graph they give.
+P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+DIMACS_ACCEPTED = [
+    ("p edge 3 2\ne 01 2\ne 2 003\n", P3),
+    ("p edge 3 2\ne +1 2\ne +2 3\n", P3),
+    ("p\tedge\t3\t2\ne\t1\t2\n\te 2\t3\t\n", P3),
+    ("p edge 3 2\r\ne 1 2\r\ne 2 3\r\n", P3),
+    ("   p edge 3 2   \n   e 1 2\n e 3 2   \n", P3),
+    ("p edge 3 2\ncfoo 9 9\nc\ncol 1 2\ne 1 2\ne 2 3\nc e 1 3\n", P3),
+    ("p edge 3 2\ne 1 2\ne 2 1\ne 1 2\ne 3 2\n", P3),
+    ("p col 3 2\ne 1 2\ne 2 3\n", P3),
+    ("p edges 3 2\ne 1 2\ne 2 3\n", P3),
+    ("p edge 3 99\ne 1 2\ne 2 3\n", P3),
+    ("p edge 3 x\ne 1 2\ne 2 3\n", P3),
+    ("p edge 5 0\n", Graph.empty(5)),
+    ("p edge 0 0\n", Graph.empty(0)),
+    ("c a comment first\n\np edge 1 0", Graph.empty(1)),
+]
+
+
+@pytest.mark.parametrize("text, graph", DIMACS_ACCEPTED)
+def test_dimacs_accepted_spellings(text, graph):
+    assert parse_dimacs(text) == graph
+
+
+# Vertices next to the 64- and 128-bit word boundaries.
+BOUNDARY = (0, 1, 62, 63, 64, 65, 126, 127, 128, 129)
+
+
+@st.composite
+def graphs(draw, max_n=150):
+    """Random graphs up to ``max_n`` vertices at a drawn density, plus edges
+    at the word boundaries; the last vertex is isolated or not."""
+    n = draw(st.integers(0, max_n))
+    if n < 2:
+        return Graph.empty(n)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    p = draw(st.sampled_from([0.0, 0.02, 0.2, 0.7, 1.0]))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    vertex = st.one_of(st.integers(0, n - 1),
+                       st.sampled_from([v for v in BOUNDARY if v < n] + [n - 2, n - 1]))
+    edges += [(u, v) for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=12)) if u != v]
+    if draw(st.booleans()):
+        edges = [(u, v) for u, v in edges if n - 1 not in (u, v)]
+    return Graph.from_edges(n, edges)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(graphs())
+def test_dimacs_writer_matches_the_naive_writer(g):
+    text = write_dimacs(g)
+    assert text == naive_write_dimacs(g)
+    assert parse_dimacs(text) == g
+    assert g.edges() == naive_edges(g)
+
+
+# Lines of DIMACS tokens, odd spellings and odd whitespace included.
+TOKENS = st.sampled_from(["p", "e", "c", "edge", "edges", "col", "cx", "q", "0", "1", "2",
+                          "3", "01", "+2", "-1", "1_0", "x", "٣", " ", "\t", "\r",
+                          "\x0b", "\x85", "\xa0"])
+LINES = st.lists(TOKENS, max_size=6).map(" ".join)
+TEXTS = st.one_of(st.text(max_size=60),
+                  st.lists(LINES, max_size=8).map("\n".join),
+                  st.lists(LINES, max_size=8).map(lambda lines: "\n".join(["p edge 3 1"] + lines)))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(TEXTS)
+def test_dimacs_parser_raises_only_value_errors(text):
+    """ParseError, GraphError and int()'s ValueError are the CLI's exit-3
+    errors; nothing else may escape."""
+    try:
+        g = parse_dimacs(text)
+    except (ParseError, GraphError) as exc:
+        assert getattr(exc, "line_no", 0) >= 0
+    except ValueError as exc:
+        assert "int()" in str(exc)
+    else:
+        assert write_dimacs(parse_dimacs(write_dimacs(g))) == write_dimacs(g)
+
+
+def test_digest_is_sha256_of_the_canonical_text():
+    """The README's definition of a report's ``digest``."""
+    canonical = "p edge 4 3\ne 1 2\ne 1 3\ne 2 3\n"
+    messy = "c a triangle and an isolated vertex\np col 4 7\ne 3 2\n\te 1 03\ne 2 1\ne 1 2\r\n"
+    g = parse_dimacs(messy)
+    assert write_dimacs(g) == canonical
+    assert graph_digest(g) == graph_digest(canonical) == hashlib.sha256(canonical.encode()).hexdigest()
