@@ -25,6 +25,11 @@ from .graphs import Graph, GraphError
 from .oracles import Formula33
 
 
+# Largest vertex count a DIMACS header may declare: the parser allocates one
+# adjacency mask per declared vertex before reading any edge.
+MAX_DIMACS_VERTICES = 10**6
+
+
 class ParseError(ValueError):
     def __init__(self, line_no: int, message: str):
         self.line_no = line_no
@@ -79,6 +84,8 @@ def parse_dimacs(text: str) -> Graph:
             if len(parts) != 4 or parts[1] not in ("edge", "edges", "col"):
                 raise ParseError(i, f"malformed problem line {raw.strip()!r}")
             n = int(parts[2])
+            if n > MAX_DIMACS_VERTICES:
+                raise ParseError(i, f"vertex count {n} exceeds the limit of {MAX_DIMACS_VERTICES}")
             adj = [0] * n
         else:
             raise ParseError(i, f"unknown record {record!r}")

@@ -260,15 +260,19 @@ def contains_induced(g: Graph, h: Graph) -> tuple[int, ...] | None:
     """Injective map preserving edges and non-edges, or None.
 
     The returned tuple maps pattern vertex i to host vertex witness[i]; it is
-    the least embedding in the search order described above.  On hosts that
-    are denser than half the possible edges the search runs on the
-    complements, which leaves the witness unchanged and keeps the dense
-    hardness instances cheap to check.
+    the least embedding in the search order described above.  Patterns with
+    a row in ``_FREENESS_PROOFS`` first try that proof, which answers None
+    without a search when it succeeds.  On hosts that are denser than half
+    the possible edges the search runs on the complements, which leaves the
+    witness unchanged and keeps the dense hardness instances cheap to check.
     """
     if h.n > g.n:
         return None
     if h.n == 0:
         return ()
+    proof = _FREENESS_PROOFS.get(h)
+    if proof is not None and proof(g):
+        return None
     if g.n >= 2 and 2 * g.edge_count() > g.n * (g.n - 1) // 2:
         g, h = g.complement(), h.complement()
     plan = _plan(h)
@@ -303,19 +307,39 @@ def is_linear_forest(g: Graph) -> bool:
     return (g.n == 0 or g.max_degree() <= 2) and is_forest(g)
 
 
-def is_clique_mask(g: Graph, mask: int) -> bool:
-    for v in bits(mask):
-        if (g.adj[v] & mask) != mask & ~(1 << v):
-            return False
+def _partitioned(classes: list[int], r: int) -> bool:
+    """True iff the sets ``classes[v] & r`` for v in ``r`` partition ``r``.
+
+    ``classes[v]`` must contain v and come from a symmetric relation, such
+    as closed neighbourhoods.  Take the least vertex's class, check that it
+    is the class of each member, remove it and repeat: a vertex left later
+    cannot see into a removed class K, since by symmetry it would lie in a
+    member's class, which is K.
+    """
+    while r:
+        cls = classes[(r & -r).bit_length() - 1] & r
+        for w in bits(cls):
+            if classes[w] & r != cls:
+                return False
+        r ^= cls
     return True
 
 
+def _closed_neighbourhoods(g: Graph) -> list[int]:
+    return [a | 1 << v for v, a in enumerate(g.adj)]
+
+
+def _closed_non_neighbourhoods(g: Graph) -> list[int]:
+    # ~a holds v and every non-neighbour of v, and nothing above n matters
+    return [~a for a in g.adj]
+
+
 def is_union_of_cliques(g: Graph) -> bool:
-    return all(is_clique_mask(g, m) for m in g.component_masks())
+    return _partitioned(_closed_neighbourhoods(g), g.full_mask())
 
 
 def is_complete_multipartite(g: Graph) -> bool:
-    return is_union_of_cliques(g.complement())
+    return _partitioned(_closed_non_neighbourhoods(g), g.full_mask())
 
 
 class CoComponentKind(Enum):
@@ -333,18 +357,61 @@ def p3p1_decomposition(g: Graph) -> list[tuple[tuple[int, ...], CoComponentKind]
     disjoint union of complete graphs.  The first kind wins when both hold.
     """
     co = g.complement()
+    closed = _closed_neighbourhoods(g)
     parts = []
     for comp in co.component_masks():
-        # an independent triple of g is a triangle of its complement; a union
-        # of cliques has no induced P3, so every neighbourhood is a clique
+        # an independent triple of g is a triangle of its complement
         if not any(co.adj[u] & co.adj[v] for u in bits(comp) for v in bits(co.adj[u]) if v > u):
             kind = CoComponentKind.THREE_P1_FREE
-        elif all(is_clique_mask(g, g.adj[v] & comp) for v in bits(comp)):
+        elif _partitioned(closed, comp):
             kind = CoComponentKind.CLIQUE_UNION
         else:
             return None
         parts.append((tuple(bits(comp)), kind))
     return parts
+
+
+# -- freeness proofs ------------------------------------------------------------
+
+
+def _peel(g: Graph, classes: list[int]) -> int:
+    """The vertices left after deleting, until a pass deletes none, every
+    vertex whose non-neighbours still alive are partitioned by ``classes``.
+
+    Soundness: let v play pattern vertex x in an induced copy of H.  The
+    images of H - N_H[x] are then all non-neighbours of v, so they form an
+    induced H - N_H[x] among them.  Hence v lies in no induced H when its
+    non-neighbourhood is free of H - N_H[x] for every x.  Such a v can be
+    deleted: every induced H of G then lies in G - v, and the argument
+    applies again inside the vertices left.  G is H-free when none is left.
+
+    * 2P2+P1: H - N_H[x] is P2+P1, or 2P2 (for the isolated x), which
+      contains P2+P1.  A graph is (P2+P1)-free iff its complement is
+      P3-free, i.e. iff it is complete multipartite: non-adjacency
+      partitions it, ``classes`` = closed non-neighbourhoods.
+    * 2P3: H - N_H[x] is P3+P1 (x an end) or P3 (x a middle), and both
+      contain P3.  A graph is P3-free iff it is a union of cliques: closed
+      neighbourhoods partition it, ``classes`` = closed neighbourhoods.
+    """
+    adj = g.adj
+    alive = g.full_mask()
+    while True:
+        before = alive
+        for v in bits(alive):
+            if _partitioned(classes, alive & ~(adj[v] | 1 << v)):
+                alive ^= 1 << v
+        if alive == before:
+            return alive
+
+
+# Pattern -> a test that, when it holds, proves the host free of the
+# pattern.  A failed test proves nothing: the search then runs as before,
+# so every witness stays the least one.  The P3+P1 row is exact.
+_FREENESS_PROOFS = {
+    pattern_graph("2P2+P1"): lambda g: not _peel(g, _closed_non_neighbourhoods(g)),
+    pattern_graph("2P3"): lambda g: not _peel(g, _closed_neighbourhoods(g)),
+    pattern_graph("P3+P1"): lambda g: p3p1_decomposition(g) is not None,
+}
 
 
 # -- dichotomies --------------------------------------------------------------

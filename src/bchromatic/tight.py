@@ -131,13 +131,15 @@ def dense_partition(p: PartialBColouring) -> DensePartition:
 
 def _greedy_complete(g: Graph, colour: list[int], m: int) -> None:
     # every uncoloured vertex is non-dense, hence has degree <= m-2
-    for v in range(g.n):
-        if colour[v]:
-            continue
-        taken = {colour[w] for w in bits(g.adj[v]) if colour[w]}
+    members = [0] * (m + 1)  # members[c]: the vertices coloured c so far
+    for v, c in enumerate(colour):
+        members[c] |= 1 << v
+    for v in bits(members[0]):
+        a = g.adj[v]
         for c in range(1, m + 1):
-            if c not in taken:
+            if not members[c] & a:
                 colour[v] = c
+                members[c] |= 1 << v
                 break
         else:
             raise AssertionError("a non-dense vertex always has a free colour")

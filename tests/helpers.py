@@ -344,6 +344,17 @@ def footnote_graph() -> Graph:
     return complete_join(Graph.empty(2), disjoint_union(pattern_graph("K3"), Graph.empty(1)))
 
 
+def tight_2p2p1_family(m: int) -> Graph:
+    """Tight and (2P2+P1)-free, for even m: the dense set is K_m minus the
+    perfect matching {2i, 2i+1}, and boundary vertex m+i sees both ends of
+    pair i and every other boundary vertex."""
+    half = m // 2
+    edges = [(u, v) for u, v in itertools.combinations(range(m), 2) if u // 2 != v // 2]
+    edges += [(m + i, 2 * i + d) for i in range(half) for d in (0, 1)]
+    edges += [(m + i, m + j) for i, j in itertools.combinations(range(half), 2)]
+    return Graph.from_edges(m + half, edges)
+
+
 def circular_ladder(rungs: int) -> Graph:
     """The prism over the cycle C_rungs: a cubic graph on 2*rungs vertices."""
     return Graph.from_edges(2 * rungs, [e for i in range(rungs) for e in (

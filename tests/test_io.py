@@ -96,6 +96,9 @@ DIMACS_ERRORS = [
     ("p edge 3 0\ne1 2", ParseError, "line 2: unknown record 'e1'", 2),
     ("p edge -2 0\nq", ParseError, "line 2: unknown record 'q'", 2),
     ("p edge -1 0\ne 1 2", ParseError, "line 2: edge (1, 2) out of range", 2),
+    ("p edge 1000001 0", ParseError, "line 1: vertex count 1000001 exceeds the limit of 1000000", 1),
+    ("c big\np edge 100000000000000000000 0\ne 1 2", ParseError,
+     "line 2: vertex count 100000000000000000000 exceeds the limit of 1000000", 2),
     ("", ParseError, "line 0: missing problem line", 0),
     ("c only\n  \n\t\n", ParseError, "line 0: missing problem line", 0),
     ("p edge 3 0\ne 1 x", ValueError, "invalid literal for int() with base 10: 'x'", None),

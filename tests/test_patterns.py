@@ -1,20 +1,20 @@
 """Pattern expansion, induced-subgraph search, and the dichotomy classifier."""
 
 import hashlib
+import itertools
 import random
 
 import pytest
 
-from bchromatic.graphs import Graph
-from bchromatic.graphs import co_components
+from bchromatic.graphs import Graph, bits, co_components
 from bchromatic.patterns import (CoComponentKind, PatternError, Verdict,
+                                 _closed_neighbourhoods, _closed_non_neighbourhoods, _peel,
                                  classify, contains_induced, is_complete_multipartite,
-                                 is_free, is_induced_subgraph_of,
-                                 is_linear_forest, is_union_of_cliques,
-                                 p3p1_decomposition, pattern_graph)
+                                 is_free, is_induced_subgraph_of, is_linear_forest,
+                                 is_union_of_cliques, p3p1_decomposition, pattern_graph)
 
 from helpers import (all_graphs, all_graphs_up_to, naive_contains_induced, random_graph,
-                     reference_contains_induced, reference_witness_table)
+                     reference_contains_induced, reference_witness_table, tight_2p2p1_family)
 
 
 def test_pattern_expansion():
@@ -126,17 +126,74 @@ def test_cocomponent_kind():
 
 
 def test_p3p1_decomposition_matches_generic_search():
+    # is_free(g, "P3+P1") now goes through the decomposition itself, so the
+    # unpruned reference search is the second route
+    p3p1, p3 = pattern_graph("P3+P1"), pattern_graph("P3")
     for g in all_graphs_up_to(6):
         parts = p3p1_decomposition(g)
-        assert (parts is None) == (not is_free(g, "P3+P1")), g.adj
+        assert (parts is None) == (reference_contains_induced(g, p3p1) is not None), g.adj
         if parts is None:
             continue
         assert [vs for vs, _ in parts] == co_components(g)
         for vs, kind in parts:
             sub = g.subgraph(vs)
             want = (CoComponentKind.THREE_P1_FREE if is_free(sub, "3P1")
-                    else CoComponentKind.CLIQUE_UNION if is_union_of_cliques(sub) else None)
+                    else CoComponentKind.CLIQUE_UNION if reference_contains_induced(sub, p3) is None
+                    else None)
             assert kind is want, g.adj
+
+
+def test_partition_tests_match_the_reference_search():
+    """A graph is a union of cliques iff it is P3-free, and complete
+    multipartite iff it is (P2+P1)-free; both tests, and the freeness
+    proofs, rest on the one partition check."""
+    p3, p2p1 = pattern_graph("P3"), pattern_graph("P2+P1")
+    for n in range(1, 7):
+        with_p3, with_p2p1 = reference_witness_table(n, p3), reference_witness_table(n, p2p1)
+        for mask, g in enumerate(all_graphs(n)):
+            assert is_union_of_cliques(g) == (mask not in with_p3), g.adj
+            assert is_complete_multipartite(g) == (mask not in with_p2p1), g.adj
+
+
+def test_peeled_vertices_lie_in_no_pattern():
+    """Every vertex the freeness proof deletes lies in no induced 2P2+P1
+    (respectively 2P3) of the whole graph, on every graph with at most 6
+    vertices; the unpruned reference search decides each vertex subset."""
+    rows = [(pattern_graph("2P2+P1"), _closed_non_neighbourhoods),
+            (pattern_graph("2P3"), _closed_neighbourhoods)]
+    for h, classes in rows:
+        has_copy: dict[Graph, bool] = {}
+        for g in all_graphs_up_to(6):
+            if g.n < h.n:
+                continue
+            peeled = g.full_mask() & ~_peel(g, classes(g))
+            if not peeled:
+                continue
+            covered = 0  # the vertices of some induced copy of h
+            for vs in itertools.combinations(range(g.n), h.n):
+                sub = g.subgraph(vs)
+                if sub not in has_copy:
+                    has_copy[sub] = reference_contains_induced(sub, h) is not None
+                if has_copy[sub]:
+                    covered |= sum(1 << v for v in vs)
+            assert not peeled & covered, (g.adj, peeled, covered)
+
+
+def test_freeness_proofs_need_no_search(monkeypatch):
+    """The peel alone proves the n=321 tight family member (2P2+P1)-free and
+    the Petersen edge3col-2p3 gadget 2P3-free: the search never runs."""
+    from bchromatic import patterns
+    from bchromatic.gadgets import edge3col_instance, petersen_graph
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the induced-pattern search ran")
+
+    family = tight_2p2p1_family(214)
+    gadget = edge3col_instance(petersen_graph(), "edge3col-2p3").graph
+    monkeypatch.setattr(patterns, "_embed", no_search)
+    assert family.n == 321
+    assert is_free(family, "2P2+P1")
+    assert is_free(gadget, "2P3")
 
 
 def test_paw_free_decomposition_cross_check():
