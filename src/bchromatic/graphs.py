@@ -124,8 +124,11 @@ class Graph:
         return Graph(self.n, tuple(full & ~(self.adj[v] | (1 << v)) for v in range(self.n)))
 
     def subgraph(self, vertices: Iterable[int]) -> "Graph":
-        """Induced subgraph; vertices are relabelled in increasing order."""
+        """Induced subgraph; vertices are relabelled in increasing order.
+        Every vertex gives the graph itself, which is frozen, not a copy."""
         vs = sorted(set(vertices))
+        if len(vs) == self.n and vs == list(range(self.n)):
+            return self
         index = {v: i for i, v in enumerate(vs)}
         adj = [0] * len(vs)
         for v in vs:

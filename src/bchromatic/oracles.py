@@ -12,9 +12,10 @@ one that cuts a node once some class can no longer get a b-vertex; the
 b-chromatic number refutes each k above it in order of decreasing degree
 and takes the witness from one search in index order.  The rest:
 maximal-independent-set enumeration plus exact cover for fall spectra,
-rainbow-neighbourhood backtracking for tight b-colourings, plain DFS for
-1-in-3 satisfiability, and minimal-vertex-cover enumeration plus blossom
-matching for minimum maximal matchings.
+rainbow-neighbourhood backtracking on an explicit stack, most constrained
+vertex first, for tight b-colourings, plain DFS for 1-in-3 satisfiability,
+and minimal-vertex-cover enumeration plus blossom matching for minimum
+maximal matchings.
 
 Vertex budgets guard the calls that are exponential in n (for 1-in-3
 satisfiability, n counts the formula's variables).  Every oracle's
@@ -398,10 +399,34 @@ def tight_b_exact(g: Graph, *, node_budget: int | None = None) -> TightSearch:
     The dense vertices get the colours 1..m in index order (any tight
     b-colouring assigns them distinct colours, so this only breaks colour
     symmetry).  A dense vertex of degree m-1 is b-chromatic iff its closed
-    neighbourhood carries all m colours exactly once, so the search maintains
-    the set of colours already present around each dense vertex and extends
-    the most constrained vertex first.  "inconclusive" is reported when the
-    node budget runs out and is distinct from "absent".
+    neighbourhood carries all m colours exactly once.  So a vertex v
+    coloured c takes c from the domain of every uncoloured vertex of
+    ``hit[v]``: its neighbours and each dense closed neighbourhood that
+    holds v.  The search never puts a colour twice into a dense vertex's
+    closed neighbourhood, so at a leaf each of those m vertices has its
+    own colour: a leaf is a tight b-colouring, and every tight
+    b-colouring with the dense vertices on 1..m is a leaf.
+
+    The domains ``allowed[w]`` of the uncoloured vertices are updated on
+    each assignment instead of recomputed at every node, and ``by_size[k]``
+    holds the uncoloured vertices with k colours left.  Each node colours
+    the vertex with the fewest colours left (the most constrained first,
+    as in Brelaz's DSATUR), lowest index on ties, with its colours in
+    increasing order; a node where some vertex has no colour left is a
+    dead end and counts no node.  Colouring v with c takes c from the
+    uncoloured vertices of ``hit[v]`` that still have it (``has[c]``), and
+    v's frame keeps exactly that set as its trail; undoing puts c back
+    into those vertices only, last frame first.  The restore is exact.
+    Within a dense closed neighbourhood no colour is placed twice, so c
+    leaves and re-enters the domains there with v alone.  Elsewhere two
+    non-adjacent neighbours of w may both hold c, and only the first of
+    them to be coloured took c from w, so w gets c back only when that
+    one is undone.  The frames ``[v, colours left, trail]`` sit on one
+    explicit stack, so the depth is bounded by memory, not by a recursion
+    limit.
+
+    Each colour tried counts one node; "inconclusive" is reported once the
+    count passes ``node_budget`` and is distinct from "absent".
     """
     if node_budget is None:
         node_budget = DEFAULT_NODE_BUDGET
@@ -409,72 +434,88 @@ def tight_b_exact(g: Graph, *, node_budget: int | None = None) -> TightSearch:
     if not info.is_tight:
         raise NotTightError("tight b-colouring search needs a tight input graph")
     m = info.m
+    adj = g.adj
+    hit = list(adj)
+    for u in info.dense:
+        closed = adj[u] | 1 << u
+        for v in bits(closed):
+            hit[v] |= closed
     dense = sorted(info.dense)
     colour = [0] * g.n
-    full_cols = (1 << m) - 1  # colour c occupies bit c-1
-
-    closed = {u: g.adj[u] | (1 << u) for u in dense}
-    watchers: list[list[int]] = [[] for _ in range(g.n)]
-    for u in dense:
-        for v in bits(closed[u]):
-            watchers[v].append(u)
-
-    used_around = {u: 0 for u in dense}
+    uncoloured = g.full_mask()
     for i, u in enumerate(dense):
         colour[u] = i + 1
-    # only the dense vertices are coloured yet, each with its own colour
-    for u in dense:
-        for v in bits(closed[u]):
-            if colour[v]:
-                used_around[u] |= 1 << (colour[v] - 1)
+        uncoloured ^= 1 << u
+    # has[c]: the uncoloured vertices whose domain holds colour c+1 (bit c
+    # of allowed[w]); hit is symmetric, so at the start that is everything
+    # outside hit of the dense vertex coloured c+1
+    has = [uncoloured & ~hit[u] for u in dense]
+    # allowed[w] is column w of the rows has[m-1], ..., has[0]: write each
+    # row's bits as text, least vertex first, and transpose with one zip
+    rows = [bin(mask | 1 << g.n)[:2:-1] for mask in reversed(has)]
+    allowed = [int("".join(col), 2) for col in zip(*rows)]
+    by_size = [0] * (m + 1)
+    for w in bits(uncoloured):
+        by_size[allowed[w].bit_count()] |= 1 << w
 
-    uncoloured = [v for v in range(g.n) if colour[v] == 0]
     nodes = 0
-
-    def allowed_mask(v: int) -> int:
-        mask = full_cols
-        for u in watchers[v]:
-            mask &= ~used_around[u]
-        for w in bits(g.adj[v]):
-            if colour[w]:
-                mask &= ~(1 << (colour[w] - 1))
-        return mask
-
-    def rec(remaining: list[int]) -> str:
-        nonlocal nodes
-        if not remaining:
-            return "found"
-        best_i, best_mask, best_cnt = -1, 0, m + 1
-        for i, v in enumerate(remaining):
-            mask = allowed_mask(v)
-            cnt = mask.bit_count()
-            if cnt == 0:
-                return "absent"
-            if cnt < best_cnt:
-                best_i, best_mask, best_cnt = i, mask, cnt
-        v = remaining[best_i]
-        rest = remaining[:best_i] + remaining[best_i + 1:]
-        for c in bits(best_mask):
-            nodes += 1
-            if nodes > node_budget:
-                return "inconclusive"
-            colour[v] = c + 1
-            for u in watchers[v]:
-                used_around[u] |= 1 << c
-            sub = rec(rest)
-            if sub == "found":
-                return "found"
-            colour[v] = 0
-            for u in watchers[v]:
-                used_around[u] &= ~(1 << c)
-            if sub == "inconclusive":
-                return "inconclusive"
-        return "absent"
-
-    status = rec(uncoloured)
-    if status == "found":
-        return TightSearch("found", Colouring.from_values(colour), nodes)
-    return TightSearch(status, None, nodes)
+    stack: list[list[int]] = []
+    # the bit loops are written out: they run at every node
+    while True:
+        if not uncoloured:
+            return TightSearch("found", Colouring.from_values(colour), nodes)
+        if not by_size[0]:
+            k = 1
+            while not by_size[k]:
+                k += 1
+            low = by_size[k] & -by_size[k]
+            by_size[k] ^= low
+            uncoloured ^= low
+            v = low.bit_length() - 1
+            stack.append([v, allowed[v], 0])
+        # undo the deepest assignment until a vertex has a colour left
+        while True:
+            if not stack:
+                return TightSearch("absent", None, nodes)
+            frame = stack[-1]
+            v, left, trail = frame
+            if colour[v]:
+                c = colour[v] - 1
+                cbit = 1 << c
+                has[c] |= trail
+                while trail:
+                    low = trail & -trail
+                    w = low.bit_length() - 1
+                    a = allowed[w]
+                    k = a.bit_count()
+                    by_size[k] ^= low
+                    by_size[k + 1] |= low
+                    allowed[w] = a | cbit
+                    trail ^= low
+                colour[v] = 0
+            if left:
+                break
+            stack.pop()
+            uncoloured |= 1 << v
+            by_size[allowed[v].bit_count()] |= 1 << v
+        nodes += 1
+        if nodes > node_budget:
+            return TightSearch("inconclusive", None, nodes)
+        cbit = left & -left
+        c = cbit.bit_length() - 1
+        frame[1] = left ^ cbit
+        colour[v] = c + 1
+        trail = frame[2] = hit[v] & uncoloured & has[c]
+        has[c] ^= trail
+        while trail:
+            low = trail & -trail
+            w = low.bit_length() - 1
+            a = allowed[w]
+            k = a.bit_count()
+            by_size[k] ^= low
+            by_size[k - 1] |= low
+            allowed[w] = a ^ cbit
+            trail ^= low
 
 
 # -- fall spectrum --------------------------------------------------------------

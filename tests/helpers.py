@@ -12,7 +12,8 @@ import random
 from bchromatic.graphs import (Colouring, Graph, analyze_tight, bits,
                                complete_join, disjoint_union,
                                is_fall_colouring, proper_violation)
-from bchromatic.oracles import Formula33
+from bchromatic.oracles import (DEFAULT_NODE_BUDGET, Formula33, NotTightError,
+                                TightSearch)
 from bchromatic.patterns import is_free, pattern_graph
 
 
@@ -230,6 +231,93 @@ def naive_tight_b_colourings(g: Graph):
             yield c
 
 
+def reference_tight_b_exact(g: Graph, *, node_budget: int | None = None) -> TightSearch:
+    """Decide whether a tight graph has a b-colouring with m(G) colours:
+    the recursive search that ``oracles.tight_b_exact`` replaced, kept as
+    its reference (same status, witness and node count at every budget).
+
+    The dense vertices get the colours 1..m in index order (any tight
+    b-colouring assigns them distinct colours, so this only breaks colour
+    symmetry).  A dense vertex of degree m-1 is b-chromatic iff its closed
+    neighbourhood carries all m colours exactly once, so the search maintains
+    the set of colours already present around each dense vertex and extends
+    the most constrained vertex first.  "inconclusive" is reported when the
+    node budget runs out and is distinct from "absent".
+    """
+    if node_budget is None:
+        node_budget = DEFAULT_NODE_BUDGET
+    info = analyze_tight(g)
+    if not info.is_tight:
+        raise NotTightError("tight b-colouring search needs a tight input graph")
+    m = info.m
+    dense = sorted(info.dense)
+    colour = [0] * g.n
+    full_cols = (1 << m) - 1  # colour c occupies bit c-1
+
+    closed = {u: g.adj[u] | (1 << u) for u in dense}
+    watchers: list[list[int]] = [[] for _ in range(g.n)]
+    for u in dense:
+        for v in bits(closed[u]):
+            watchers[v].append(u)
+
+    used_around = {u: 0 for u in dense}
+    for i, u in enumerate(dense):
+        colour[u] = i + 1
+    # only the dense vertices are coloured yet, each with its own colour
+    for u in dense:
+        for v in bits(closed[u]):
+            if colour[v]:
+                used_around[u] |= 1 << (colour[v] - 1)
+
+    uncoloured = [v for v in range(g.n) if colour[v] == 0]
+    nodes = 0
+
+    def allowed_mask(v: int) -> int:
+        mask = full_cols
+        for u in watchers[v]:
+            mask &= ~used_around[u]
+        for w in bits(g.adj[v]):
+            if colour[w]:
+                mask &= ~(1 << (colour[w] - 1))
+        return mask
+
+    def rec(remaining: list[int]) -> str:
+        nonlocal nodes
+        if not remaining:
+            return "found"
+        best_i, best_mask, best_cnt = -1, 0, m + 1
+        for i, v in enumerate(remaining):
+            mask = allowed_mask(v)
+            cnt = mask.bit_count()
+            if cnt == 0:
+                return "absent"
+            if cnt < best_cnt:
+                best_i, best_mask, best_cnt = i, mask, cnt
+        v = remaining[best_i]
+        rest = remaining[:best_i] + remaining[best_i + 1:]
+        for c in bits(best_mask):
+            nodes += 1
+            if nodes > node_budget:
+                return "inconclusive"
+            colour[v] = c + 1
+            for u in watchers[v]:
+                used_around[u] |= 1 << c
+            sub = rec(rest)
+            if sub == "found":
+                return "found"
+            colour[v] = 0
+            for u in watchers[v]:
+                used_around[u] &= ~(1 << c)
+            if sub == "inconclusive":
+                return "inconclusive"
+        return "absent"
+
+    status = rec(uncoloured)
+    if status == "found":
+        return TightSearch("found", Colouring.from_values(colour), nodes)
+    return TightSearch(status, None, nodes)
+
+
 def check_dense_structure(g: Graph, c: Colouring) -> None:
     """Invariants every tight b-colouring must satisfy: the dense vertices
     are exactly the b-chromatic ones, each class holds exactly one of them
@@ -359,6 +447,14 @@ def circular_ladder(rungs: int) -> Graph:
     """The prism over the cycle C_rungs: a cubic graph on 2*rungs vertices."""
     return Graph.from_edges(2 * rungs, [e for i in range(rungs) for e in (
         (i, (i + 1) % rungs), (rungs + i, rungs + (i + 1) % rungs), (i, rungs + i))])
+
+
+def moebius_ladder(rungs: int) -> Graph:
+    """The cycle C_(2*rungs) plus its long diagonals: a cubic graph on
+    2*rungs vertices."""
+    n = 2 * rungs
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)]
+                            + [(i, i + rungs) for i in range(rungs)])
 
 
 def cyclic_formula(variables: int) -> Formula33:

@@ -347,18 +347,35 @@ def test_one_in_three_over_the_sat_oracle_limit(files, capsys):
     assert code == 3 and rep["error"] == "1-in-3 oracle limited to n<=30, got n=240"
 
 
-def test_unexpected_exception_is_a_json_error(files, capsys):
-    """The tight b-colouring search recurses once per uncoloured vertex, so
-    the edge3col instance of CL120 (1329 vertices) raises RecursionError;
-    the CLI reports it as one JSON error, with no traceback."""
-    from bchromatic.gadgets import edge3col_instance
-    src = files["dir"] / "cl120-edge3col.col"
-    src.write_text(write_dimacs(edge3col_instance(circular_ladder(120)).graph))
-    code = main(["oracle", "tightb", str(src)])
+def test_unexpected_exception_is_a_json_error(files, capsys, monkeypatch):
+    """An exception of no known input type, raised anywhere in a command,
+    becomes one JSON error report with its type name, exit 3 and no
+    traceback."""
+    import bchromatic.cli
+
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(bchromatic.cli, "cmd_oracle", boom)
+    code = main(["oracle", "tightb", files["k4"]])
     out, err = capsys.readouterr()
     rep = json.loads(out)
     assert code == 3 and rep["status"] == "error" and err == ""
-    assert rep["error"].startswith("RecursionError: ")
+    assert rep["error"] == "RuntimeError: boom"
+
+
+def test_oracle_tightb_on_a_1329_vertex_instance(files, capsys):
+    """The tight b-colouring search keeps its own stack, so the edge3col
+    instance of CL120 (1329 vertices, about 1,100 levels deep) gets an
+    answer, with a witness that passes the validator."""
+    from bchromatic.gadgets import edge3col_instance
+    g = edge3col_instance(circular_ladder(120)).graph
+    src = files["dir"] / "cl120-edge3col.col"
+    src.write_text(write_dimacs(g))
+    code, rep = run(capsys, "oracle", "tightb", str(src))
+    assert code == 0 and rep["status"] == "ok" and rep["value"] is True
+    witness = Colouring.from_values(rep["witness"]["colours"])
+    assert witness.k == rep["witness"]["k"] and is_tight_b_colouring(g, witness)
 
 
 def test_oracle_vacuous_witnesses_are_ok(files, capsys):

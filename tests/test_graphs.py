@@ -46,6 +46,24 @@ def test_complement_involution():
         assert g.complement().complement() == g
 
 
+def test_subgraph_on_every_vertex_is_the_graph_itself():
+    """All vertices, in any order and with repeats, give the same frozen
+    object; a proper subset is still the relabelled induced subgraph, and a
+    vertex past n still fails."""
+    rng = random.Random(3)
+    for _ in range(50):
+        g = random_graph(rng, rng.randint(0, 10), rng.random())
+        assert g.subgraph(range(g.n)) is g
+        assert g.subgraph([*reversed(range(g.n)), *range(g.n)]) is g
+        vs = sorted(rng.sample(range(g.n), rng.randint(0, max(0, g.n - 1))))
+        sub = g.subgraph(reversed(vs))
+        assert sub == Graph.from_edges(len(vs), [
+            (i, j) for i in range(len(vs)) for j in range(i + 1, len(vs))
+            if g.has_edge(vs[i], vs[j])])
+        with pytest.raises(IndexError):
+            g.subgraph([*range(g.n), g.n])
+
+
 def test_union_and_join():
     p2 = pattern_graph("P2")
     assert disjoint_union(p2, p2) == pattern_graph("2P2")

@@ -4,16 +4,19 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bchromatic.gadgets import (FORMULA_N3_SATISFIABLE, edge3col_instance,
-                                odd_crown_graph, petersen_graph, prism_graph)
+from bchromatic.gadgets import (EDGE3COL_VARIANTS, FORMULA_N3_SATISFIABLE,
+                                edge3col_instance, odd_crown_graph,
+                                petersen_graph, prism_graph)
 from bchromatic.graphs import (Colouring, Graph, _has_b_vertex_everywhere, analyze_tight,
                                is_b_chromatic_vertex, is_b_colouring, is_fall_colouring,
                                is_maximal_independent_set, is_tight_b_colouring,
                                m_degree)
 from bchromatic.oracles import (BudgetExceededError, Formula33, FormulaError,
-                                NotCubicError, NotTightError, _b_vertex_prune,
-                                _colour_search,
+                                NotCubicError, NotTightError, TightSearch,
+                                _b_vertex_prune, _colour_search,
                                 b_chromatic_number, b_colouring_with,
                                 chromatic_number, clique_number, fall_spectrum,
                                 maximal_independent_sets,
@@ -22,9 +25,10 @@ from bchromatic.oracles import (BudgetExceededError, Formula33, FormulaError,
 from bchromatic.patterns import pattern_graph
 
 from helpers import (all_graphs, all_graphs_up_to, brute_min_maximal_matching_size,
-                     cyclic_formula, footnote_graph, independent_set_partitions,
-                     masks_to_colouring, naive_fall_spectrum, naive_tight_b_colourings,
-                     random_graph)
+                     circular_ladder, cyclic_formula, footnote_graph,
+                     independent_set_partitions, masks_to_colouring,
+                     moebius_ladder, naive_fall_spectrum, naive_tight_b_colourings,
+                     random_graph, reference_tight_b_exact, sample_tight)
 
 
 def test_chromatic_examples():
@@ -154,6 +158,52 @@ def test_tight_b_exact_pruning_soundness():
             assert (res.status == "found") == (brute is not None), g.adj
             checked += 1
     assert checked > 1500
+
+
+def _same_search_at_every_budget(g: Graph) -> TightSearch:
+    """The search and its recursive reference give equal results without
+    a budget and at budgets 1, 5, nodes - 1 and nodes."""
+    full = tight_b_exact(g)
+    assert full == reference_tight_b_exact(g), g.adj
+    for budget in {1, 5, full.nodes - 1, full.nodes} - {-1}:
+        assert (tight_b_exact(g, node_budget=budget)
+                == reference_tight_b_exact(g, node_budget=budget)), (g.adj, budget)
+    return full
+
+
+def test_tight_b_exact_matches_the_recursive_reference():
+    """Same status, witness and node count as the recursive search on the
+    edge3col instances of six cubic graphs, each also relabelled at random,
+    and on random tight graphs with 7-12 vertices."""
+    k33 = Graph.from_edges(6, [(i, 3 + j) for i in range(3) for j in range(3)])
+    sources = [pattern_graph("K4"), k33, prism_graph(), petersen_graph(),
+               circular_ladder(5), moebius_ladder(4)]
+    rng = random.Random(41)
+    statuses = set()
+    for src in sources:
+        for variant in EDGE3COL_VARIANTS:
+            g = edge3col_instance(src, variant).graph
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            shuffled = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+            for h in (g, shuffled):
+                statuses.add(_same_search_at_every_budget(h).status)
+    for n in range(7, 13):
+        for g in sample_tight(rng, 15, n):
+            statuses.add(_same_search_at_every_budget(g).status)
+    assert statuses == {"found", "absent"}
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12))
+def test_tight_b_exact_agrees_with_the_reference_on_random_tight_graphs(seed, n):
+    """A tight graph drawn by ``sample_tight``: the search equals the
+    recursive reference, and a found witness is a tight b-colouring."""
+    g = sample_tight(random.Random(seed), 1, n)[0]
+    res = tight_b_exact(g)
+    assert res == reference_tight_b_exact(g)
+    if res.status == "found":
+        assert is_tight_b_colouring(g, res.colouring)
 
 
 def test_fall_spectrum_examples():
