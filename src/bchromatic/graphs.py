@@ -127,6 +127,8 @@ class Graph:
         """Induced subgraph; vertices are relabelled in increasing order.
         Every vertex gives the graph itself, which is frozen, not a copy."""
         vs = sorted(set(vertices))
+        if vs and not (vs[0] >= 0 and vs[-1] < self.n):
+            raise GraphError(f"subgraph vertices {vs[0]}..{vs[-1]} out of range for n={self.n}")
         if len(vs) == self.n and vs == list(range(self.n)):
             return self
         index = {v: i for i, v in enumerate(vs)}

@@ -21,9 +21,10 @@ Vertex budgets guard the calls that are exponential in n (for 1-in-3
 satisfiability, n counts the formula's variables).  Every oracle's
 ``budget`` (``node_budget`` for ``tight_b_exact``) defaults to None, meaning
 the oracle's own limit; this module is the only one that knows those limits.
-Graphs whose independence number is at most 3 get a raised budget: their
-colour classes have at most three vertices, so the chromatic number reduces
-to an exact packing of edges and triangles in the complement, and their
+With no explicit budget, the chromatic and fall oracles admit graphs of
+independence number at most 3 up to RAISED_BUDGET vertices: their colour
+classes have at most three vertices, so the chromatic search starts at
+max(omega, ceil(n/alpha)) colours instead of omega, and their
 maximal independent sets are the maximal cliques of the (sparse) complement.
 """
 
@@ -51,13 +52,14 @@ class BudgetExceededError(Exception):
 def _past_limit(n: int, budget: int | None, default: int, oracle: str, *,
                 raised: Graph | None = None) -> bool:
     """Raise BudgetExceededError when the input has more than ``budget``
-    vertices or variables, ``n`` of them (``default`` when None).  A graph
-    ``raised`` of independence number at most 3 is admitted up to
-    RAISED_BUDGET instead, and True says so."""
+    vertices or variables, ``n`` of them (``default`` when None).  With no
+    explicit budget, a graph ``raised`` of independence number at most 3 is
+    admitted up to RAISED_BUDGET instead, and True says so."""
     limit = default if budget is None else budget
     if n <= limit:
         return False
-    if raised is not None and n <= RAISED_BUDGET and independence_number(raised) <= 3:
+    if (budget is None and raised is not None and n <= RAISED_BUDGET
+            and independence_number(raised) <= 3):
         return True
     raise BudgetExceededError(f"{oracle} oracle limited to n<={limit}, got n={n}")
 
@@ -194,73 +196,16 @@ def _colour_search(adj: Sequence[int], k: int, order: list[int],
 # -- chromatic number --------------------------------------------------------
 
 
-def _small_independence_chromatic(g: Graph) -> tuple[int, Colouring]:
-    """Exact chromatic number when no four vertices are pairwise
-    non-adjacent: colour classes have size <= 3, so chi(g) equals n minus the
-    best disjoint packing of edges and triangles in the complement."""
-    co = g.complement()
-    tri_lowest: dict[int, list[int]] = {v: [] for v in range(co.n)}
-    for u in range(co.n):
-        for v in bits(co.adj[u]):
-            if v <= u:
-                continue
-            for w in bits(co.adj[u] & co.adj[v]):
-                if w > v:
-                    tri_lowest[u].append((1 << u) | (1 << v) | (1 << w))
-
-    best_gain = -1
-    best_parts: list[int] = []
-
-    def matching_parts(avoid: int) -> list[int]:
-        rest = [v for v in range(co.n) if not (avoid >> v) & 1]
-        sub = co.subgraph(rest)
-        return [(1 << rest[a]) | (1 << rest[b]) for a, b in maximum_matching(sub).edges]
-
-    def rec(v: int, used: int, tris: list[int]) -> None:
-        nonlocal best_gain, best_parts
-        while v < co.n and (used >> v) & 1:
-            v += 1
-        # vertices before v are reserved for the matching stage (gain 1/2
-        # each); vertices from v on can at best sit in triangles (gain 2/3)
-        behind = v - (used & ((1 << v) - 1)).bit_count()
-        ahead = co.n - v - (used >> v).bit_count()
-        if 2 * len(tris) + (2 * ahead) // 3 + behind // 2 <= best_gain:
-            return
-        if v == co.n:
-            pairs = matching_parts(used)
-            gain = 2 * len(tris) + len(pairs)
-            if gain > best_gain:
-                best_gain = gain
-                best_parts = tris + pairs
-            return
-        for tri in tri_lowest[v]:
-            if not tri & used:
-                rec(v + 1, used | tri, tris + [tri])
-        rec(v + 1, used, tris)
-
-    rec(0, 0, [])
-    colour = [0] * g.n
-    c = 0
-    for part in best_parts:
-        c += 1
-        for v in bits(part):
-            colour[v] = c
-    for v in range(g.n):
-        if colour[v] == 0:
-            c += 1
-            colour[v] = c
-    return c, Colouring.from_values(colour)
-
-
 def chromatic_number(g: Graph, *, budget: int | None = None) -> tuple[int, Colouring]:
     if g.n == 0:
         return 0, Colouring((), 0)
-    if _past_limit(g.n, budget, DEFAULT_NP_BUDGET, "chromatic", raised=g):
-        return _small_independence_chromatic(g)
-    # fewer than omega colours are impossible and k-1 has failed before k is
-    # tried, so a colouring with at most k colours uses exactly k
+    # fewer than omega colours are impossible, nor fewer than n/alpha, since
+    # a class holds at most alpha vertices; k-1 has failed before k is tried,
+    # so a colouring with at most k colours uses exactly k
+    raised = _past_limit(g.n, budget, DEFAULT_NP_BUDGET, "chromatic", raised=g)
+    low = -(-g.n // independence_number(g)) if raised else 0
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    for k in range(clique_number(g), g.n + 1):
+    for k in range(max(low, clique_number(g)), g.n + 1):
         found = _colour_search(g.adj, k, order)
         if found is not None:
             return k, Colouring.from_values(found)

@@ -47,6 +47,32 @@ def brute_max_matching_size(g: Graph) -> int:
     return best
 
 
+def brute_independence_number(g: Graph) -> int:
+    """The size of a largest independent set, by trying ever larger subsets."""
+    size = 0
+    while any(all(not g.has_edge(u, v) for u, v in itertools.combinations(s, 2))
+              for s in itertools.combinations(range(g.n), size + 1)):
+        size += 1
+    return size
+
+
+def find_clique(g: Graph, k: int) -> list[int] | None:
+    """Some k pairwise adjacent vertices in increasing order, or None."""
+
+    def rec(chosen: list[int], cand: int) -> list[int] | None:
+        if len(chosen) == k:
+            return chosen
+        while len(chosen) + cand.bit_count() >= k:
+            v = (cand & -cand).bit_length() - 1
+            cand &= ~(1 << v)
+            found = rec(chosen + [v], cand & g.adj[v])
+            if found is not None:
+                return found
+        return None
+
+    return rec([], g.full_mask())
+
+
 def brute_min_maximal_matching_size(g: Graph) -> int:
     """Every matching, grown edge by edge in index order; the smallest one
     that leaves no edge with both ends free."""
@@ -347,6 +373,24 @@ def check_dense_structure(g: Graph, c: Colouring) -> None:
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                                 if rng.random() < p])
+
+
+def k4_free_complement(rng: random.Random, n: int, *, shuffle: bool = True) -> Graph:
+    """The complement of a random K4-free graph, so of independence number
+    at most 3: the vertex pairs are visited in an order shuffled by ``rng``
+    (index order if not ``shuffle``), and each is added with probability
+    0.8 unless it closes a K4."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if shuffle:
+        rng.shuffle(pairs)
+    adj = [0] * n
+    for u, v in pairs:
+        common = adj[u] & adj[v]
+        closes_k4 = any(adj[w] & common for w in bits(common))
+        if rng.random() < 0.8 and not closes_k4:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return Graph(n, tuple(adj)).complement()
 
 
 def random_3p1_free(rng: random.Random, n: int, p: float) -> Graph:

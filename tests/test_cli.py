@@ -1,17 +1,18 @@
 """Command-line behaviour: reports, exit codes, file round trips."""
 
 import json
+import random
 
 import pytest
 
 from bchromatic.cli import build_parser, main
 from bchromatic.gadgets import REDUCTIONS, petersen_graph
-from bchromatic.graphs import Colouring, Graph, is_tight_b_colouring
+from bchromatic.graphs import Colouring, Graph, is_tight_b_colouring, proper_violation
 from bchromatic.io import graph_digest, parse_dimacs, write_dimacs, write_formula
 from bchromatic.oracles import Formula33
 from bchromatic.patterns import pattern_graph
 
-from helpers import circular_ladder, cyclic_formula, footnote_graph
+from helpers import circular_ladder, cyclic_formula, footnote_graph, k4_free_complement
 
 
 @pytest.fixture
@@ -234,6 +235,34 @@ def test_oracle_budget_env(files, capsys, monkeypatch):
     assert code == 0 and rep["value"] == 1
 
 
+def test_oracle_chromatic_past_the_default_limit(files, capsys):
+    """A 20-vertex graph of independence number 3 is admitted past the
+    16-vertex limit; its chi is ceil(20/3), which the witness meets."""
+    g = k4_free_complement(random.Random(0), 20)
+    path = files["dir"] / "a20.col"
+    path.write_text(write_dimacs(g))
+    code, rep = run(capsys, "oracle", "chromatic", str(path))
+    assert code == 0 and rep["status"] == "ok" and rep["value"] == 7
+    w = Colouring(tuple(rep["witness"]["colours"]), rep["witness"]["k"])
+    assert w.k == 7 and proper_violation(g, w) is None
+
+
+@pytest.mark.parametrize("which", ["chromatic", "fall"])
+def test_oracle_budget_env_below_the_raised_limit(files, capsys, monkeypatch, which):
+    """An explicit ``ORACLE_BUDGET`` is the limit, also for a graph of
+    independence number 3 that the oracle's own limit admits."""
+    g = Graph.from_edges(18, [(u, v) for u in range(18) for v in range(u + 1, 18)
+                              if u // 3 != v // 3])
+    path = files["dir"] / "k6x3.col"
+    path.write_text(write_dimacs(g))
+    code, rep = run(capsys, "oracle", which, str(path))
+    assert code == 0 and rep["value"] == (6 if which == "chromatic" else [6])
+    monkeypatch.setenv("ORACLE_BUDGET", "10")
+    code, rep = run(capsys, "oracle", which, str(path))
+    assert code == 3 and rep["status"] == "error"
+    assert f"{which} oracle limited to n<=10, got n=18" in rep["error"]
+
+
 @pytest.mark.parametrize("argv", [["show", "cycle", "50"], ["analyze", "{c3}"]])
 def test_broken_pipe_writes_nothing_more(files, monkeypatch, argv):
     import sys
@@ -283,7 +312,7 @@ def test_no_assert_statements_in_package():
     from pathlib import Path
 
     import bchromatic
-    for path in sorted(Path(bchromatic.__file__).parent.glob("*.py")):
+    for path in sorted(Path(bchromatic.__file__).parent.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
         assert not lines, f"{path.name}: assert at lines {lines}"

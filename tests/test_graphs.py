@@ -49,7 +49,7 @@ def test_complement_involution():
 def test_subgraph_on_every_vertex_is_the_graph_itself():
     """All vertices, in any order and with repeats, give the same frozen
     object; a proper subset is still the relabelled induced subgraph, and a
-    vertex past n still fails."""
+    vertex past n still fails with GraphError."""
     rng = random.Random(3)
     for _ in range(50):
         g = random_graph(rng, rng.randint(0, 10), rng.random())
@@ -60,8 +60,17 @@ def test_subgraph_on_every_vertex_is_the_graph_itself():
         assert sub == Graph.from_edges(len(vs), [
             (i, j) for i in range(len(vs)) for j in range(i + 1, len(vs))
             if g.has_edge(vs[i], vs[j])])
-        with pytest.raises(IndexError):
+        with pytest.raises(GraphError):
             g.subgraph([*range(g.n), g.n])
+
+
+@pytest.mark.parametrize("vertices", [[-2, 0], [-1], [0, 3], [5]])
+def test_subgraph_rejects_a_vertex_outside_the_graph(vertices):
+    """A negative vertex would index the adjacency from the end and give an
+    asymmetric graph; it fails like a vertex past n."""
+    p3 = pattern_graph("P3")
+    with pytest.raises(GraphError, match="out of range for n=3"):
+        p3.subgraph(vertices)
 
 
 def test_union_and_join():

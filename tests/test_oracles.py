@@ -13,7 +13,7 @@ from bchromatic.gadgets import (EDGE3COL_VARIANTS, FORMULA_N3_SATISFIABLE,
 from bchromatic.graphs import (Colouring, Graph, _has_b_vertex_everywhere, analyze_tight,
                                is_b_chromatic_vertex, is_b_colouring, is_fall_colouring,
                                is_maximal_independent_set, is_tight_b_colouring,
-                               m_degree)
+                               m_degree, proper_violation)
 from bchromatic.oracles import (BudgetExceededError, Formula33, FormulaError,
                                 NotCubicError, NotTightError, TightSearch,
                                 _b_vertex_prune, _colour_search,
@@ -24,9 +24,11 @@ from bchromatic.oracles import (BudgetExceededError, Formula33, FormulaError,
                                 three_edge_colouring, tight_b_exact)
 from bchromatic.patterns import pattern_graph
 
-from helpers import (all_graphs, all_graphs_up_to, brute_min_maximal_matching_size,
-                     circular_ladder, cyclic_formula, footnote_graph,
-                     independent_set_partitions, masks_to_colouring,
+from helpers import (all_graphs, all_graphs_up_to, brute_independence_number,
+                     brute_min_maximal_matching_size, circular_ladder,
+                     cyclic_formula, find_clique, footnote_graph,
+                     independent_set_partitions, k4_free_complement,
+                     masks_to_colouring,
                      moebius_ladder, naive_fall_spectrum, naive_tight_b_colourings,
                      random_graph, reference_tight_b_exact, sample_tight)
 
@@ -45,8 +47,50 @@ def test_chromatic_small_independence_path():
                               if u // 3 != v // 3])
     k, w = chromatic_number(g)
     assert k == 6
-    from bchromatic.graphs import proper_violation
     assert proper_violation(g, w) is None and w.k == 6
+
+
+# seeds of ``k4_free_complement`` at n = 17, 20 and 23 on which a packing
+# search over edges and triangles of the complement, with a bound that
+# floored its two halves apart, answered ceil(n/3) + 1
+UNDERCOUNTED_SEEDS = {
+    17: (1, 3, 5, 6, 7, 9, 10, 11, 13, 14, 15, 16, 19),
+    20: (0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 14, 15, 16, 17, 19),
+    23: (0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 12, 14, 15, 16, 17, 18, 19),
+}
+
+
+@pytest.mark.parametrize("n", sorted(UNDERCOUNTED_SEEDS))
+def test_chromatic_meets_n_over_alpha_past_the_default_limit(n):
+    """A class holds at most alpha vertices, so chi >= ceil(n/alpha); a
+    proper colouring with that many colours certifies chi."""
+    for seed in UNDERCOUNTED_SEEDS[n]:
+        g = k4_free_complement(random.Random(seed), n)
+        assert brute_independence_number(g) == 3
+        k, w = chromatic_number(g)
+        assert k == w.k == -(-n // 3), (n, seed)
+        assert proper_violation(g, w) is None
+
+
+@pytest.mark.parametrize("n, omega", [(28, 18), (32, 17)])
+def test_chromatic_meets_the_clique_number_past_the_default_limit(n, omega):
+    """The same construction with pairs in index order: a clique of size
+    chi and a proper colouring with chi colours certify it."""
+    g = k4_free_complement(random.Random(2), n, shuffle=False)
+    assert find_clique(g, omega) is not None
+    k, w = chromatic_number(g)
+    assert (k, w.k) == (omega, omega) and proper_violation(g, w) is None
+
+
+@pytest.mark.parametrize("name, chi", [("4C5", 20 - 8), ("3C7", 21 - 9),
+                                       ("2C5+3C7", 31 - 4 - 9)])
+def test_chromatic_of_odd_cycle_complements(name, chi):
+    """In the complement of disjoint cycles of length at least 4 a colour
+    class is one vertex or one cycle edge, so chi is n minus the largest
+    matching of the cycles, n - sum(floor(l/2))."""
+    g = pattern_graph(name).complement()
+    k, w = chromatic_number(g)
+    assert (k, w.k) == (chi, chi) and proper_violation(g, w) is None
 
 
 def test_b_chromatic_examples():
