@@ -25,9 +25,9 @@ from .graphs import Graph, GraphError
 from .oracles import Formula33
 
 
-# Largest vertex count a DIMACS header may declare: the parser allocates one
-# adjacency mask per declared vertex before reading any edge.
-MAX_DIMACS_VERTICES = 10**6
+# Largest vertex count a graph file may give, by a header or a vertex index:
+# the parsers allocate one adjacency mask per vertex.
+MAX_VERTICES = 10**6
 
 
 class ParseError(ValueError):
@@ -84,8 +84,8 @@ def parse_dimacs(text: str) -> Graph:
             if len(parts) != 4 or parts[1] not in ("edge", "edges", "col"):
                 raise ParseError(i, f"malformed problem line {raw.strip()!r}")
             n = int(parts[2])
-            if n > MAX_DIMACS_VERTICES:
-                raise ParseError(i, f"vertex count {n} exceeds the limit of {MAX_DIMACS_VERTICES}")
+            if n > MAX_VERTICES:
+                raise ParseError(i, f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
             adj = [0] * n
         else:
             raise ParseError(i, f"unknown record {record!r}")
@@ -115,6 +115,8 @@ def parse_edge_list(text: str) -> Graph:
             if len(parts) != 2:
                 raise ParseError(i, "malformed vertex-count line")
             n, explicit = int(parts[1]), True
+            if n > MAX_VERTICES:
+                raise ParseError(i, f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
             continue
         if len(parts) != 2:
             raise ParseError(i, f"expected 'u v', got {line!r}")
@@ -123,6 +125,8 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(i, "self-loop")
         if u < 0 or v < 0:
             raise ParseError(i, "negative vertex index")
+        if max(u, v) >= MAX_VERTICES:
+            raise ParseError(i, f"vertex {max(u, v)} exceeds the limit of {MAX_VERTICES} vertices")
         edges.append((u, v))
         if not explicit:
             n = max(n, u + 1, v + 1)

@@ -10,12 +10,13 @@ subtrees that hold no accepted leaf, so the first leaf, and with it every
 witness, is the same with or without it.  The b-colouring search passes
 one that cuts a node once some class can no longer get a b-vertex; the
 b-chromatic number refutes each k above it in order of decreasing degree
-and takes the witness from one search in index order.  The rest:
-maximal-independent-set enumeration plus exact cover for fall spectra,
+and takes the witness from one search in index order.  One exact-cover
+search, ``_exact_covers``, serves fall spectra (partitions of V into
+maximal independent sets) and 1-in-3 satisfiability (partitions of the
+clauses into the clause sets of the true variables).  The rest:
 rainbow-neighbourhood backtracking on an explicit stack, most constrained
-vertex first, for tight b-colourings, plain DFS for 1-in-3 satisfiability,
-and minimal-vertex-cover enumeration plus blossom matching for minimum
-maximal matchings.
+vertex first, for tight b-colourings, and minimal-vertex-cover enumeration
+plus blossom matching for minimum maximal matchings.
 
 Vertex budgets guard the calls that are exponential in n (for 1-in-3
 satisfiability, n counts the formula's variables).  Every oracle's
@@ -31,7 +32,7 @@ maximal independent sets are the maximal cliques of the (sparse) complement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .graphs import (Colouring, Graph, GraphError, _has_b_vertex_everywhere,
                      analyze_tight, bits, is_maximal_independent_set, m_degree)
@@ -39,7 +40,8 @@ from .matching import maximum_matching
 
 DEFAULT_NP_BUDGET = 16
 DEFAULT_FALL_BUDGET = 14
-# variables, not vertices: the 1-in-3 search time about doubles every 3 of them
+# variables, not vertices: on random (3,3)-formulas the median 1-in-3 search
+# took 0.1, 1.1, 3.7 and 190 ms at 30, 45, 60 and 90 of them (2-CPU host)
 DEFAULT_SAT_BUDGET = 30
 RAISED_BUDGET = 32
 DEFAULT_NODE_BUDGET = 10**7
@@ -463,6 +465,51 @@ def tight_b_exact(g: Graph, *, node_budget: int | None = None) -> TightSearch:
             trail ^= low
 
 
+# -- exact cover --------------------------------------------------------------
+
+
+def _exact_covers(full: int, sets: Sequence[int]) -> Iterator[list[int]]:
+    """Every partition of the bitmask ``full`` into members of ``sets``, as
+    a list of indices into ``sets`` in the order they were chosen.
+
+    Each step covers the least uncovered element e, trying in list order
+    the sets whose least element is e: every smaller element is covered
+    already, so no other set can cover e without overlapping.  (This is
+    the exact-cover problem of Knuth's "Dancing Links", 2000, searched on
+    bitmasks.)  The frames, one candidate iterator per depth, sit on one
+    explicit stack, so the depth is bounded by memory, not by a recursion
+    limit.  The yielded list is the search's own and changes as the search
+    goes on: copy it to keep it.
+    """
+    if not full:
+        yield []
+        return
+    by_lowest: dict[int, list[tuple[int, int]]] = {}
+    for i, s in enumerate(sets):
+        by_lowest.setdefault(s & -s, []).append((s, i))
+    chosen: list[int] = []
+    cov = 0
+    stack = [iter(by_lowest.get(full & -full, ()))]
+    while stack:
+        for s, i in stack[-1]:
+            if not s & cov:
+                break
+        else:
+            # no candidate left at this depth: undo the set that led here
+            stack.pop()
+            if chosen:
+                cov ^= sets[chosen.pop()]
+            continue
+        chosen.append(i)
+        cov |= s
+        if cov == full:
+            yield chosen
+            cov ^= sets[chosen.pop()]
+        else:
+            rest = full & ~cov
+            stack.append(iter(by_lowest.get(rest & -rest, ())))
+
+
 # -- fall spectrum --------------------------------------------------------------
 
 
@@ -478,38 +525,20 @@ class FallSpectrum:
 
 
 def fall_spectrum(g: Graph, *, budget: int | None = None) -> FallSpectrum:
-    """All k admitting a partition of V into k maximal independent sets."""
+    """All k admitting a partition of V into k maximal independent sets,
+    each with the first such partition the exact-cover search meets."""
     if g.n == 0:
         return FallSpectrum(())
     _past_limit(g.n, budget, DEFAULT_FALL_BUDGET, "fall", raised=g)
     sets = maximal_independent_sets(g)
-    by_lowest: dict[int, list[int]] = {}
-    for s in sets:
-        by_lowest.setdefault((s & -s).bit_length() - 1, []).append(s)
-
-    full = g.full_mask()
     witnesses: dict[int, Colouring] = {}
-    chosen: list[int] = []
-
-    def rec(cov: int) -> None:
-        if cov == full:
-            k = len(chosen)
-            if k not in witnesses:
-                colour = [0] * g.n
-                for i, s in enumerate(chosen):
-                    for v in bits(s):
-                        colour[v] = i + 1
-                witnesses[k] = Colouring.from_values(colour)
-            return
-        low = (~cov & full)
-        low = (low & -low).bit_length() - 1
-        for s in by_lowest.get(low, ()):
-            if not s & cov:
-                chosen.append(s)
-                rec(cov | s)
-                chosen.pop()
-
-    rec(0)
+    for cover in _exact_covers(g.full_mask(), sets):
+        if len(cover) not in witnesses:
+            colour = [0] * g.n
+            for c, i in enumerate(cover, 1):
+                for v in bits(sets[i]):
+                    colour[v] = c
+            witnesses[len(cover)] = Colouring.from_values(colour)
     return FallSpectrum(tuple(sorted(witnesses)), witnesses)
 
 
@@ -561,41 +590,22 @@ class Formula33:
 
 
 def one_in_three_sat(f: Formula33, *, budget: int | None = None) -> tuple[bool, ...] | None:
-    """Assignment making exactly one variable per clause true, or None."""
+    """Assignment making exactly one variable per clause true, or None.
+
+    The true variables of such an assignment are those whose clause sets
+    partition the clauses, so the first exact cover of the clauses by the
+    variables' clause sets is the answer."""
     n = f.variables
     _past_limit(n, budget, DEFAULT_SAT_BUDGET, "1-in-3")
-    value: list[bool | None] = [None] * n
-    occurs: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for cl in f.clauses:
+    occurs = [0] * n  # occurs[x]: the clauses holding x, as a bitmask
+    for j, cl in enumerate(f.clauses):
         for x in cl:
-            occurs[x].append(cl)
-
-    def clause_state(cl) -> tuple[int, int]:
-        true = sum(1 for x in cl if value[x] is True)
-        undecided = sum(1 for x in cl if value[x] is None)
-        return true, undecided
-
-    def consistent(i: int) -> bool:
-        # the other clauses are as they were when the last check passed
-        for cl in occurs[i]:
-            true, undecided = clause_state(cl)
-            if true > 1 or true + undecided < 1:
-                return False
-        return True
-
-    def rec(i: int) -> bool:
-        if i == n:
-            return all(clause_state(cl)[0] == 1 for cl in f.clauses)
-        for choice in (False, True):
-            value[i] = choice
-            if consistent(i) and rec(i + 1):
-                return True
-        value[i] = None
-        return False
-
-    if rec(0):
-        return tuple(bool(v) for v in value)
-    return None
+            occurs[x] |= 1 << j
+    cover = next(_exact_covers((1 << len(f.clauses)) - 1, occurs), None)
+    if cover is None:
+        return None
+    true = set(cover)
+    return tuple(x in true for x in range(n))
 
 
 # -- minimum maximal matching -------------------------------------------------------

@@ -79,6 +79,8 @@ def pattern_graph(name: str) -> Graph:
         atom = _atom_graph(m.group(2))
         for _ in range(mult):
             g = disjoint_union(g, atom)
+    if not g.n:
+        raise PatternError(f"pattern {name!r} has no vertices")
     return g
 
 

@@ -13,7 +13,7 @@ from bchromatic.graphs import (Colouring, Graph, analyze_tight, bits,
                                complete_join, disjoint_union,
                                is_fall_colouring, proper_violation)
 from bchromatic.oracles import (DEFAULT_NODE_BUDGET, Formula33, NotTightError,
-                                TightSearch)
+                                TightSearch, maximal_independent_sets)
 from bchromatic.patterns import is_free, pattern_graph
 
 
@@ -242,6 +242,36 @@ def naive_fall_spectrum(g: Graph) -> set[int]:
         if is_fall_colouring(g, c):
             out.add(len(masks))
     return out
+
+
+def reference_fall_spectrum(g: Graph) -> dict[int, Colouring]:
+    """For each k admitting a partition of V into k maximal independent
+    sets, the first such partition as a colouring: the recursive exact
+    cover that ``oracles.fall_spectrum`` replaced, kept as its reference
+    (same values, same witnesses)."""
+    sets = maximal_independent_sets(g)
+    by_lowest: dict[int, list[int]] = {}
+    for s in sets:
+        by_lowest.setdefault((s & -s).bit_length() - 1, []).append(s)
+    full = g.full_mask()
+    witnesses: dict[int, Colouring] = {}
+    chosen: list[int] = []
+
+    def rec(cov: int) -> None:
+        if cov == full:
+            if len(chosen) not in witnesses:
+                witnesses[len(chosen)] = masks_to_colouring(g, chosen)
+            return
+        low = ~cov & full
+        for s in by_lowest.get((low & -low).bit_length() - 1, ()):
+            if not s & cov:
+                chosen.append(s)
+                rec(cov | s)
+                chosen.pop()
+
+    if g.n:
+        rec(0)
+    return witnesses
 
 
 def naive_tight_b_colourings(g: Graph):
@@ -499,6 +529,25 @@ def moebius_ladder(rungs: int) -> Graph:
     n = 2 * rungs
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)]
                             + [(i, i + rungs) for i in range(rungs)])
+
+
+def random_formula(rng: random.Random, variables: int) -> Formula33:
+    """A random (3,3)-formula: three slots per variable, shuffled into
+    clauses until no clause repeats a variable (``variables`` >= 3)."""
+    while True:
+        slots = [x for x in range(variables) for _ in range(3)]
+        rng.shuffle(slots)
+        clauses = [tuple(slots[i:i + 3]) for i in range(0, len(slots), 3)]
+        if all(len(set(cl)) == 3 for cl in clauses):
+            return Formula33(variables, tuple(clauses))
+
+
+def brute_one_in_three_satisfiable(f: Formula33) -> bool:
+    """Whether some of the 2^n assignments makes exactly one variable of
+    each clause true."""
+    clauses = [sum(1 << x for x in cl) for cl in f.clauses]
+    return any(all((true & cl).bit_count() == 1 for cl in clauses)
+               for true in range(1 << f.variables))
 
 
 def cyclic_formula(variables: int) -> Formula33:

@@ -121,6 +121,12 @@ def test_hfree_command(files, capsys):
     assert not rep["free"] and rep["witness"] == [0, 1, 3, 4]
 
 
+def test_hfree_rejects_an_empty_pattern(files, capsys):
+    code, rep = run(capsys, "hfree", files["c4"], "--pattern", "P0")
+    assert code == 3 and rep == {"schema": 1, "status": "error",
+                                 "error": "pattern 'P0' has no vertices"}
+
+
 def test_oracle_commands(files, capsys):
     code, rep = run(capsys, "oracle", "chromatic", files["k5"])
     assert code == 0 and rep["value"] == 5
@@ -374,6 +380,16 @@ def test_one_in_three_over_the_sat_oracle_limit(files, capsys):
     assert "n<=30" in rep["forward"] and all(rep["structural_checks"].values())
     code, rep = run(capsys, "oracle", "13sat", str(src))
     assert code == 3 and rep["error"] == "1-in-3 oracle limited to n<=30, got n=240"
+
+
+def test_oracle_13sat_on_a_3000_variable_formula(files, capsys, monkeypatch):
+    """With the limit raised, the 1-in-3 oracle answers the cyclic formula
+    on 3,000 variables instead of running out of recursion depth."""
+    src = files["dir"] / "cyclic3000.cnf13"
+    src.write_text(write_formula(cyclic_formula(3000)))
+    monkeypatch.setenv("ORACLE_BUDGET", "3000")
+    code, rep = run(capsys, "oracle", "13sat", str(src))
+    assert code == 0 and rep["value"] is True and sum(rep["witness"]) == 1000
 
 
 def test_unexpected_exception_is_a_json_error(files, capsys, monkeypatch):

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from bchromatic.gadgets import FORMULA_N6_UNSATISFIABLE, petersen_graph
 from bchromatic.graphs import Graph, GraphError
-from bchromatic.io import (ParseError, graph_digest, load_graph, parse_dimacs,
-                           parse_edge_list, parse_formula, write_dimacs,
-                           write_edge_list, write_formula)
+from bchromatic.io import (MAX_VERTICES, ParseError, graph_digest, load_graph,
+                           parse_dimacs, parse_edge_list, parse_formula,
+                           write_dimacs, write_edge_list, write_formula)
+from bchromatic.oracles import FormulaError
 from bchromatic.patterns import pattern_graph
 
 from helpers import naive_edges, naive_write_dimacs, random_graph
@@ -72,6 +73,19 @@ def test_edge_list_declared_n():
     assert g.n == 5 and g.edge_count() == 1
     with pytest.raises(ParseError):
         parse_edge_list("n 2\n0 4\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0 1000000", "line 1: vertex 1000000 exceeds the limit of 1000000 vertices"),
+    ("# big\n03 99999999999231", "line 2: vertex 99999999999231 exceeds the limit of 1000000 vertices"),
+    ("n 1000001", "line 1: vertex count 1000001 exceeds the limit of 1000000"),
+])
+def test_edge_list_size_limit(text, message):
+    """The DIMACS vertex limit holds for edge lists too, checked before the
+    graph is allocated."""
+    with pytest.raises(ParseError) as err:
+        parse_edge_list(text)
+    assert str(err.value) == message
 
 
 # Malformed DIMACS text -> (exception type, str(exc), line_no); line_no is
@@ -198,6 +212,47 @@ def test_dimacs_parser_raises_only_value_errors(text):
         assert "int()" in str(exc)
     else:
         assert write_dimacs(parse_dimacs(write_dimacs(g))) == write_dimacs(g)
+
+
+# Edge-list and formula tokens, the vertex limit and its neighbour included.
+OTHER_TOKENS = st.sampled_from(["n", "#", "p", "13sat", "c", "-1", "0", "01", "1", "2", "3",
+                                "x", "1000000", "1000001"])
+# pairs are edge lines and headers, triples clauses and formula headers
+OTHER_LINES = st.one_of(st.lists(OTHER_TOKENS, max_size=4),
+                        st.tuples(OTHER_TOKENS, OTHER_TOKENS),
+                        st.tuples(OTHER_TOKENS, OTHER_TOKENS, OTHER_TOKENS)).map(" ".join)
+OTHER_TEXTS = st.one_of(st.text(max_size=40),
+                        st.lists(OTHER_LINES, max_size=6).map("\n".join),
+                        st.lists(OTHER_LINES, max_size=6).map(
+                            lambda lines: "\n".join(["p 13sat 3"] + lines)))
+
+
+def _raises_only_value_errors(parse, text):
+    """Run ``parse``; ParseError, GraphError, FormulaError and int()'s
+    ValueError are the CLI's exit-3 errors, and nothing else may escape."""
+    try:
+        return parse(text)
+    except (ParseError, GraphError, FormulaError) as exc:
+        assert getattr(exc, "line_no", 0) >= 0
+    except ValueError as exc:
+        assert "int()" in str(exc)
+    return None
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(OTHER_TEXTS)
+def test_edge_list_parser_raises_only_value_errors(text):
+    g = _raises_only_value_errors(parse_edge_list, text)
+    if g is not None:
+        assert g.n <= MAX_VERTICES
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(OTHER_TEXTS)
+def test_formula_parser_raises_only_value_errors(text):
+    f = _raises_only_value_errors(parse_formula, text)
+    if f is not None:
+        assert parse_formula(write_formula(f)) == f
 
 
 def test_digest_is_sha256_of_the_canonical_text():

@@ -25,12 +25,13 @@ from bchromatic.oracles import (BudgetExceededError, Formula33, FormulaError,
 from bchromatic.patterns import pattern_graph
 
 from helpers import (all_graphs, all_graphs_up_to, brute_independence_number,
-                     brute_min_maximal_matching_size, circular_ladder,
-                     cyclic_formula, find_clique, footnote_graph,
+                     brute_min_maximal_matching_size, brute_one_in_three_satisfiable,
+                     circular_ladder, cyclic_formula, find_clique, footnote_graph,
                      independent_set_partitions, k4_free_complement,
                      masks_to_colouring,
                      moebius_ladder, naive_fall_spectrum, naive_tight_b_colourings,
-                     random_graph, reference_tight_b_exact, sample_tight)
+                     random_formula, random_graph, reference_fall_spectrum,
+                     reference_tight_b_exact, sample_tight)
 
 
 def test_chromatic_examples():
@@ -274,6 +275,18 @@ def test_fall_spectrum_against_naive_partitions():
             assert w.k == k and is_fall_colouring(g, w)
 
 
+def test_fall_spectrum_matches_the_recursive_reference():
+    """Same values and witnesses as the recursive exact cover on every graph
+    with at most 6 vertices and on random graphs with 7-12 vertices."""
+    rng = random.Random(33)
+    randoms = (random_graph(rng, rng.randint(7, 12), rng.random()) for _ in range(300))
+    for g in itertools.chain(all_graphs_up_to(6), randoms):
+        spectrum = fall_spectrum(g)
+        reference = reference_fall_spectrum(g)
+        assert spectrum.values == tuple(sorted(reference)), g.adj
+        assert spectrum.witnesses == reference, g.adj
+
+
 def test_maximal_independent_sets_are_dominating():
     rng = random.Random(31)
     for _ in range(200):
@@ -332,6 +345,33 @@ def test_one_in_three_sat():
     for bitsmask in range(1 << 6):
         assign = [(bitsmask >> i) & 1 for i in range(6)]
         assert any(sum(assign[x] for x in cl) != 1 for cl in f.clauses)
+
+
+def test_one_in_three_sat_against_brute_force():
+    """An assignment exactly when one of the 2^n assignments works, on
+    random (3,3)-formulas with 3-12 variables, and every assignment
+    returned puts exactly one true variable in each clause."""
+    rng = random.Random(34)
+    answers = set()
+    for variables in range(3, 13):
+        for _ in range(30):
+            f = random_formula(rng, variables)
+            assignment = one_in_three_sat(f)
+            answers.add(assignment is not None)
+            assert (assignment is not None) == brute_one_in_three_satisfiable(f), f
+            if assignment is not None:
+                assert len(assignment) == variables
+                assert all(sum(assignment[x] for x in cl) == 1 for cl in f.clauses), f
+    assert answers == {False, True}
+
+
+def test_one_in_three_sat_on_a_3000_variable_formula():
+    """The exact cover keeps its own stack: the cyclic formula with clauses
+    (i, i+1, i+2) mod 3000 is solved 1,000 sets deep."""
+    f = cyclic_formula(3000)
+    assignment = one_in_three_sat(f, budget=3000)
+    assert sum(assignment) == 1000
+    assert all(sum(assignment[x] for x in cl) == 1 for cl in f.clauses)
 
 
 def test_min_maximal_matching():

@@ -26,6 +26,9 @@ def test_pattern_expansion():
     assert pattern_graph("C5").degrees() == [2] * 5
     with pytest.raises(PatternError):
         pattern_graph("Q7")
+    for name in ("P0", "K0", "0P1"):
+        with pytest.raises(PatternError, match=f"^pattern '{name}' has no vertices$"):
+            pattern_graph(name)
 
 
 def test_contains_induced_examples():
