@@ -7,6 +7,15 @@ DIMACS graphs (`.col`) are 1-based on the wire and 0-based in memory:
     p edge <n> <m>
     e <u> <v>
 
+A text of the plain shape that ``write_dimacs`` writes is read in bulk,
+without a loop over its lines: a first line ``p edge|edges|col <n> <m>`` of
+decimal numbers and single spaces, then only ``e <u> <v>`` lines of ASCII
+digits and spaces, each ended by a newline, with no vertex number that
+starts with 0.  Every other text (comments, blank lines, CR or tab, other
+spellings of numbers) and every text with an error goes through the line
+loop, which gives the same graph and is the one source of every error: its
+type, message and line number.
+
 Edge lists (`.el`) are 0-based, one ``u v`` pair per line, ``#`` comments,
 and an optional ``n <count>`` header for graphs with trailing isolated
 vertices.
@@ -29,6 +38,11 @@ from .oracles import Formula33
 # the parsers allocate one adjacency mask per vertex.
 MAX_VERTICES = 10**6
 
+# the words a DIMACS problem line may give as its format
+_DIMACS_FORMATS = ("edge", "edges", "col")
+# deletes every character a plain DIMACS edge line may hold
+_NOT_PLAIN = str.maketrans("", "", "0123456789e \n")
+
 
 class ParseError(ValueError):
     def __init__(self, line_no: int, message: str):
@@ -50,6 +64,59 @@ def write_dimacs(g: Graph) -> str:
 
 
 def parse_dimacs(text: str) -> Graph:
+    g = _parse_plain_dimacs(text)
+    return _parse_dimacs_lines(text) if g is None else g
+
+
+def _parse_plain_dimacs(text: str) -> Graph | None:
+    """The graph of a text of the plain shape, or None when the text has
+    another shape or fails a check, for the line loop to read.  The shape is
+    checked over the whole text by counts and one character filter; the only
+    Python loop is the one over the edges."""
+    head, _, body = text.partition("\n")
+    fields = head.split(" ")
+    if not (len(fields) == 4 and fields[0] == "p" and fields[1] in _DIMACS_FORMATS
+            and fields[2].isdecimal() and fields[3].isdecimal()):
+        return None
+    n = int(fields[2])
+    if n > MAX_VERTICES:
+        return None
+    if not body:
+        return Graph.empty(n)
+    # Each line starts with "e " and holds the only "e" of the line, and no
+    # vertex number starts with 0 (a number follows a space).
+    lines = body.count("\n")
+    if not (body.startswith("e ") and body.endswith("\n") and body.count("e") == lines
+            and body.count("\ne ") == lines - 1 and " 0" not in body
+            and not body.translate(_NOT_PLAIN)):
+        return None
+    # Every third token is an "e", so each line holds exactly two numbers.
+    tokens = body.split()
+    if len(tokens) != 3 * lines or tokens[::3].count("e") != lines:
+        return None
+    heads, tails = tokens[1::3], tokens[2::3]
+    names = set(heads)
+    names.update(tails)
+    # a number longer than n's digits is out of range, and int() of it might fail
+    if len(max(names, key=len)) > len(fields[2]):
+        return None
+    # tables over the numbers that occur, never over range(n)
+    index = {name: int(name) - 1 for name in names}
+    if max(index.values()) >= n:
+        return None
+    bit = {name: 1 << v for name, v in index.items()}
+    adj = [0] * n
+    for a, b in zip(heads, tails):
+        u, v = index[a], index[b]
+        if u == v:
+            return None
+        adj[u] |= bit[b]
+        adj[v] |= bit[a]
+    return Graph(n, tuple(adj))
+
+
+def _parse_dimacs_lines(text: str) -> Graph:
+    """The line loop: reads every DIMACS spelling, and raises every error."""
     n = None
     adj: list[int] = []
     index: dict[str, int] = {}  # vertex tokens read so far -> 0-based vertex
@@ -81,7 +148,7 @@ def parse_dimacs(text: str) -> Graph:
         elif record == "p":
             if n is not None:
                 raise ParseError(i, "duplicate problem line")
-            if len(parts) != 4 or parts[1] not in ("edge", "edges", "col"):
+            if len(parts) != 4 or parts[1] not in _DIMACS_FORMATS:
                 raise ParseError(i, f"malformed problem line {raw.strip()!r}")
             n = int(parts[2])
             if n > MAX_VERTICES:
@@ -106,6 +173,7 @@ def parse_edge_list(text: str) -> Graph:
     n = 0
     explicit = False
     edges: list[tuple[int, int]] = []
+    edge_lines: list[int] = []  # the line of each edge, for the declared-n check
     for i, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -128,12 +196,13 @@ def parse_edge_list(text: str) -> Graph:
         if max(u, v) >= MAX_VERTICES:
             raise ParseError(i, f"vertex {max(u, v)} exceeds the limit of {MAX_VERTICES} vertices")
         edges.append((u, v))
+        edge_lines.append(i)
         if not explicit:
             n = max(n, u + 1, v + 1)
     if explicit:
-        for i, (u, v) in enumerate(edges):
+        for i, (u, v) in zip(edge_lines, edges):
             if u >= n or v >= n:
-                raise ParseError(0, f"edge ({u}, {v}) exceeds declared n={n}")
+                raise ParseError(i, f"edge ({u}, {v}) exceeds declared n={n}")
     return Graph.from_edges(n, edges)
 
 
@@ -176,12 +245,18 @@ def load_graph(path: str | Path) -> Graph:
         return parse_edge_list(text)
     if path.suffix == ".col":
         return parse_dimacs(text)
-    # sniff: DIMACS files carry a problem line
-    for line in text.splitlines():
-        s = line.strip()
-        if not s or s.startswith("c"):
-            continue
-        return parse_dimacs(text) if s.startswith("p") else parse_edge_list(text)
+    # sniff: DIMACS files carry a problem line.  The first record is the
+    # first line, as splitlines() cuts them, that is neither blank nor a c
+    # comment; the scan reads no further than the "\n"-ended piece it is in.
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start)
+        end = len(text) if end < 0 else end
+        for line in text[start:end].splitlines():
+            s = line.strip()
+            if s and not s.startswith("c"):
+                return parse_dimacs(text) if s.startswith("p") else parse_edge_list(text)
+        start = end + 1
     raise GraphError(f"cannot determine graph format of {path}")
 
 

@@ -1,9 +1,13 @@
 """Command-line behaviour: reports, exit codes, file round trips."""
 
+import contextlib
+import io
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bchromatic.cli import build_parser, main
 from bchromatic.gadgets import REDUCTIONS, petersen_graph
@@ -407,6 +411,38 @@ def test_unexpected_exception_is_a_json_error(files, capsys, monkeypatch):
     rep = json.loads(out)
     assert code == 3 and rep["status"] == "error" and err == ""
     assert rep["error"] == "RuntimeError: boom"
+
+
+# A suffix and the command that reads such a file.
+SUFFIX_COMMANDS = [(".col", ["analyze"]), (".el", ["analyze"]), ("", ["analyze"]),
+                   (".cnf13", ["oracle", "13sat"])]
+# Valid starts, and bytes of the formats' own characters, so that some of
+# the texts parse.
+PREFIXES = [b"", b"p edge 3 1\ne 1 ", b"p edge 4 0\n", b"n 4\n0 ", b"0 1\n",
+            b"p 13sat 3\n1 2 3\n1 2 3\n1 2 3\n", b"c \xff\n"]
+DATA = st.one_of(st.binary(max_size=40), st.text("epcn#0123 \n", max_size=30).map(str.encode))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.sampled_from(SUFFIX_COMMANDS), st.sampled_from(PREFIXES), DATA)
+def test_arbitrary_bytes_give_a_report_or_one_json_error(tmp_path_factory, case, prefix, data):
+    """Any bytes in any input format: a valid report, or exactly one JSON
+    error object with exit 3; nothing on stdout or stderr, no traceback."""
+    suffix, command = case
+    folder = tmp_path_factory.mktemp("bytes")
+    path, out = folder / f"input{suffix}", folder / "report.json"
+    path.write_bytes(prefix + data)
+    with contextlib.redirect_stdout(io.StringIO()) as stdout, \
+            contextlib.redirect_stderr(io.StringIO()) as stderr:
+        code = main([*command, str(path), "--out", str(out)])
+    assert stdout.getvalue() == stderr.getvalue() == ""
+    rep = json.loads(out.read_text())
+    if code == 3:
+        assert rep.keys() == {"schema", "status", "error"} and rep["status"] == "error"
+        assert isinstance(rep["error"], str) and "Traceback" not in rep["error"]
+    else:
+        assert code in (0, 1, 2) and rep["schema"] == 1 and rep["command"] == " ".join(command)
+        assert rep["status"] == ["ok", "no", "inconclusive"][code]
 
 
 def test_oracle_tightb_on_a_1329_vertex_instance(files, capsys):

@@ -2,11 +2,15 @@
 
 import hashlib
 import random
+import re
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bchromatic import io
 from bchromatic.gadgets import FORMULA_N6_UNSATISFIABLE, petersen_graph
 from bchromatic.graphs import Graph, GraphError
 from bchromatic.io import (MAX_VERTICES, ParseError, graph_digest, load_graph,
@@ -75,6 +79,29 @@ def test_edge_list_declared_n():
         parse_edge_list("n 2\n0 4\n")
 
 
+@pytest.mark.parametrize("text, first_record", [
+    ("c made by hand\n\n   \nc e 1 2\np edge 2 1\ne 1 2\n", "dimacs"),
+    ("\n\n  \n# a comment\n0 1\n1 2\n", "edge list"),
+    ("c a DIMACS comment\n\n0 1\n", "edge list"),  # which the edge-list parser rejects
+    ("c comment\rp edge 2 1\ne 1 2\n", "dimacs"),  # \r ends a line too
+    ("c comment\x1c0 1\n", "edge list"),
+    ("# an edge list\nn 3\n0 1\n", "edge list"),
+    ("", None),
+    ("c only\n\n \t\n\rc more\n", None),
+])
+def test_load_graph_sniffs_the_first_record(tmp_path, text, first_record):
+    """A file with no suffix is DIMACS when its first line that is neither
+    blank nor a c comment is a problem line, and an edge list otherwise."""
+    path = tmp_path / "g"
+    path.write_bytes(text.encode())
+    if first_record is None:
+        with pytest.raises(GraphError, match="cannot determine graph format"):
+            load_graph(path)
+    else:
+        parse = parse_dimacs if first_record == "dimacs" else parse_edge_list
+        assert _outcome(load_graph, path) == _outcome(parse, text)
+
+
 @pytest.mark.parametrize("text, message", [
     ("0 1000000", "line 1: vertex 1000000 exceeds the limit of 1000000 vertices"),
     ("# big\n03 99999999999231", "line 2: vertex 99999999999231 exceeds the limit of 1000000 vertices"),
@@ -86,6 +113,29 @@ def test_edge_list_size_limit(text, message):
     with pytest.raises(ParseError) as err:
         parse_edge_list(text)
     assert str(err.value) == message
+
+
+# Malformed edge lists -> (exception type, str(exc), line_no), as in
+# DIMACS_ERRORS below.
+EDGE_LIST_ERRORS = [
+    ("n 2\n0 1\n0 4\n", ParseError, "line 3: edge (0, 4) exceeds declared n=2", 3),
+    ("0 4\nn 2\n", ParseError, "line 1: edge (0, 4) exceeds declared n=2", 1),
+    ("# n 9\nn 0\n\n0 1", ParseError, "line 4: edge (0, 1) exceeds declared n=0", 4),
+    ("n 3\n0 1\n1 2 3", ParseError, "line 3: expected 'u v', got '1 2 3'", 3),
+    ("n 3\n0 7\n1 1", ParseError, "line 3: self-loop", 3),
+    ("0 -1", ParseError, "line 1: negative vertex index", 1),
+    ("n", ParseError, "line 1: malformed vertex-count line", 1),
+    ("0 x", ValueError, "invalid literal for int() with base 10: 'x'", None),
+]
+
+
+@pytest.mark.parametrize("text, kind, message, line_no", EDGE_LIST_ERRORS)
+def test_edge_list_error_parity(text, kind, message, line_no):
+    with pytest.raises(ValueError) as err:
+        parse_edge_list(text)
+    assert type(err.value) is kind
+    assert str(err.value) == message
+    assert getattr(err.value, "line_no", None) == line_no
 
 
 # Malformed DIMACS text -> (exception type, str(exc), line_no); line_no is
@@ -212,6 +262,115 @@ def test_dimacs_parser_raises_only_value_errors(text):
         assert "int()" in str(exc)
     else:
         assert write_dimacs(parse_dimacs(write_dimacs(g))) == write_dimacs(g)
+
+
+def _outcome(parse, text):
+    """The graph ``parse`` reads from ``text``, or its error's type, message
+    and line number."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+
+
+# Pieces that break the plain DIMACS shape, or keep it and break a check.
+PIECES = st.sampled_from(["e", " ", "  ", "\n", "0", "1", "2", "9", "10", "01", "+1", "\t", "\r",
+                          "\x1c", "\x85", "\xa0", "\x0c", "٣", "1e", "e1", "ee", "c",
+                          "p edge 3 1\n", "e 2 2\n", "e 1 2 e"])
+
+
+# Vertex names for plain texts: in range, out of range, and odd spellings.
+NAMES = st.one_of(st.integers(1, 13).map(str),
+                  st.sampled_from(["0", "01", "007", "1e", "e1", "+1", "٣", "99999999", "1" * 30]))
+
+
+@st.composite
+def plain_dimacs(draw):
+    """Texts of the plain shape, or one or two pieces away from it: the
+    canonical text of a graph, or edge lines of NAMES under a header n of
+    0-12, and then PIECES inserted, deleted or spliced at token boundaries."""
+    if draw(st.booleans()):
+        text = write_dimacs(draw(graphs(max_n=40)))
+    else:
+        edges = draw(st.lists(st.tuples(NAMES, NAMES), max_size=8))
+        text = f"p edge {draw(st.integers(0, 12))} {len(edges)}\n"
+        text += "".join(f"e {a} {b}\n" for a, b in edges)
+    parts = re.split("([ \n])", text)
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(parts)))
+        kind = draw(st.sampled_from(["insert", "delete", "splice"]))
+        piece = [] if kind == "delete" else [draw(PIECES)]
+        parts[i:i if kind == "insert" else i + 1] = piece
+    return "".join(parts)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.one_of(TEXTS, plain_dimacs()))
+def test_bulk_path_matches_the_line_loop(text):
+    """parse_dimacs gives the line loop's graph, or its error with the same
+    type, message and line number, on every text."""
+    assert _outcome(parse_dimacs, text) == _outcome(io._parse_dimacs_lines, text)
+
+
+# Texts the bulk path leaves to the line loop.  Most are one check away
+# from the plain shape: they pass the bulk path's other checks, so a bulk
+# path without that check would read them wrongly.
+NEAR_PLAIN = [
+    "c comment\np edge 3 1\ne 1 2\n",
+    "p edge 3 1\r\ne 1 2\r\n",
+    "p edge 3 1\ne 1 2",
+    "p edge 4 2\ne 1 2 3\ne 4\n",  # three names on one line, one on the next
+    "p edge 4 2\ne 1 2 e\n3 4\n",  # a line that does not start with e
+    "p edge 3 1\ne 1\n",  # too few names
+    "p edge 3 1\ne 1\n2",  # no final newline
+    "p edge 3 1\ne 1\x852\n",  # NEL, a line break to splitlines()
+    "p edge 3 1\ne 0 1\n",
+    "p edge 3 1\ne 2 2\n",
+    "p edge 3 1\ne 1 4\n",
+    "p edge 12 1\ne 1 01\n",
+    "p edge 1000001 0\n",
+    "p edge 3 1\x1cq\ne 1 2\n",  # a header that splitlines() cuts in two
+    # the first error is on line 2; the bulk path must not raise the one of line 3
+    "p edge 3 2\ne 1 5\ne 1 x\n",
+    "p edge 30 2\ne 1 50\ne 1e 2\n",
+    "p edge 3 2\ne 1 5\ne 1 " + "1" * 5000 + "\n",  # past int()'s digit limit
+]
+
+
+@pytest.mark.parametrize("text", NEAR_PLAIN)
+def test_near_plain_texts_take_the_line_loop(text):
+    with mock.patch.object(io, "_parse_dimacs_lines", wraps=io._parse_dimacs_lines) as loop:
+        outcome = _outcome(parse_dimacs, text)
+    loop.assert_called_once_with(text)
+    assert outcome == _outcome(io._parse_dimacs_lines, text)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(graphs())
+def test_canonical_texts_take_the_bulk_path(g):
+    text = write_dimacs(g)
+    with mock.patch.object(io, "_parse_dimacs_lines", side_effect=AssertionError("line loop")):
+        assert parse_dimacs(text) == g
+        assert parse_dimacs(text.replace("p edge", "p col", 1)) == g
+
+
+def _peak_bytes(parse, text):
+    tracemalloc.start()
+    try:
+        parse(text)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bulk_path_memory_follows_the_names_present():
+    """A header n of 10^6 with one edge: no table of the bulk path may grow
+    with n, so its peak stays within twice the line loop's (about 15 MB,
+    the adjacency list and the graph's tuple)."""
+    text = "p edge 1000000 1\ne 1 1000000\n"
+    with mock.patch.object(io, "_parse_dimacs_lines", side_effect=AssertionError("line loop")):
+        bulk = _peak_bytes(parse_dimacs, text)
+    assert bulk <= 2 * _peak_bytes(io._parse_dimacs_lines, text)
 
 
 # Edge-list and formula tokens, the vertex limit and its neighbour included.
