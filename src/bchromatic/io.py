@@ -245,18 +245,12 @@ def load_graph(path: str | Path) -> Graph:
         return parse_edge_list(text)
     if path.suffix == ".col":
         return parse_dimacs(text)
-    # sniff: DIMACS files carry a problem line.  The first record is the
-    # first line, as splitlines() cuts them, that is neither blank nor a c
-    # comment; the scan reads no further than the "\n"-ended piece it is in.
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start)
-        end = len(text) if end < 0 else end
-        for line in text[start:end].splitlines():
-            s = line.strip()
-            if s and not s.startswith("c"):
-                return parse_dimacs(text) if s.startswith("p") else parse_edge_list(text)
-        start = end + 1
+    # sniff: DIMACS files carry a problem line
+    for line in text.splitlines():
+        s = line.strip()
+        if not s or s.startswith("c"):
+            continue
+        return parse_dimacs(text) if s.startswith("p") else parse_edge_list(text)
     raise GraphError(f"cannot determine graph format of {path}")
 
 
