@@ -14,7 +14,7 @@ from .oracles import (FallSpectrum, Formula33, b_chromatic_number,
                       b_colouring_with, chromatic_number, fall_spectrum,
                       min_maximal_matching_size, one_in_three_sat,
                       three_edge_colouring, tight_b_exact)
-from .patterns import (CoComponentKind, DichotomyVerdict, Verdict, classify,
+from .patterns import (DichotomyVerdict, Verdict, classify,
                        contains_induced, is_free, is_induced_subgraph_of,
                        p3p1_decomposition, pattern_graph)
 from .tight import (PartialBColouring, PartialViolation, dense_partition,

@@ -1,24 +1,35 @@
-"""Fall colourings of (P3+P1)-free graphs, and fall-uniqueness reporting.
+"""Fall colourings by one component/co-component split, and fall-uniqueness
+reporting.
 
-A fall colouring partitions the vertices into maximal independent sets.  For
-a (P3+P1)-free graph every co-component is either 3P1-free or a disjoint
-union of complete graphs, and distinct co-components never share colours, so
-the problem splits:
+A fall colouring partitions the vertices into maximal independent sets.  A
+maximal independent set meets every component of a graph and lies inside
+one of its co-components (Dunbar et al. 2000).  The split therefore walks
+vertex masks, and the first rule that applies handles each piece:
 
-* a 3P1-free co-component first sheds its dominating vertices (each is
-  necessarily a singleton class); what remains has a fall colouring iff its
-  complement has a perfect matching, every class being one matched pair;
-* a union of cliques has a fall colouring iff all its components have one
-  common size p, contributing exactly p colours.
+* one vertex: one class;
+* a disconnected complement (a join): each co-component is coloured on its
+  own, in a range of colours of its own, in co-component order, so the
+  spectrum is the sumset of theirs;
+* co-connected with no independent triple: a co-connected piece on two or
+  more vertices has no vertex adjacent to all the others, so every class is
+  a non-adjacent pair, and a fall colouring is a perfect matching of the
+  complement;
+* disconnected (a union): class i is class i of every component, so the
+  spectrum is the intersection of theirs;
+* connected and co-connected with an independent triple: the piece is
+  prime, and the whole graph goes to the exact oracle.
 
-Either way the spectrum of the co-component, and hence of the whole graph,
-is a singleton or empty: graphs in this class are fall-unique whenever they
-have a fall colouring at all.  The solver stacks the co-components' colours
-and stops at the first one without a fall colouring; it returns the
-``FallSpectrum`` that the exact oracle returns.  ``fall_uniqueness_report``
-is the one place that chooses between this solver and the oracle.
+By induction every spectrum the split computes has at most one value, so a
+piece carries the classes of its one fall colouring, or none.  Every P4-free
+graph on two or more vertices is disconnected or has a disconnected
+complement (Corneil, Lerchs & Stewart Burlingham 1981), so the split answers
+every P4-free graph, and every graph whose connected, co-connected pieces
+have no independent triple: the path "modular".  A (P3+P1)-free graph is one
+of these: each co-component has no independent triple or is a union of
+cliques (see ``p3p1_decomposition``).  Those graphs, and only those, keep
+the path "(P3+P1)-free".  ``fall_uniqueness_report`` is the one place that
+chooses between the split and the oracle.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -26,7 +37,55 @@ from dataclasses import dataclass
 from .graphs import Colouring, Graph, PreconditionError, bits
 from .matching import perfect_matching
 from .oracles import FallSpectrum, fall_spectrum
-from .patterns import CoComponentKind, p3p1_decomposition
+from .patterns import has_independent_triple
+
+
+def _join(g: Graph, mask: int) -> tuple[list[int], bool] | None:
+    """The classes of the fall colouring of ``g[mask]``, empty when it has
+    none, from the join of its co-components, and whether every union below
+    is one of cliques; None when a piece is prime.  Every piece is visited,
+    also after one without a fall colouring, so no prime piece is missed."""
+    results = [_piece(g, part) for part in g.component_masks(mask, co=True)]
+    if None in results:
+        return None
+    classes = [c for sub, _ in results for c in sub] if all(sub for sub, _ in results) else []
+    return classes, all(ok for _, ok in results)
+
+
+def _piece(g: Graph, mask: int) -> tuple[list[int], bool] | None:
+    """``_join`` for a co-connected ``g[mask]``."""
+    if not mask & (mask - 1):
+        return [mask], True
+    if not has_independent_triple(g, mask):
+        vs = list(bits(mask))
+        matching = perfect_matching(g.subgraph(vs).complement())
+        pairs = [] if matching is None else [1 << vs[a] | 1 << vs[b] for a, b in matching.edges]
+        return pairs, True
+    parts = g.component_masks(mask)
+    if len(parts) == 1:
+        return None
+    results = [_join(g, part) for part in parts]
+    if None in results:
+        return None
+    # a connected graph on p vertices has a fall colouring with p colours
+    # iff it is complete
+    cliques = all(ok and len(sub) == part.bit_count() for part, (sub, ok) in zip(parts, results))
+    if len({len(sub) for sub, _ in results}) > 1:
+        return [], cliques
+    # the classes of distinct components are disjoint, so their sum is their union
+    return [sum(classes) for classes in zip(*(sub for sub, _ in results))], cliques
+
+
+def _split(g: Graph) -> tuple[FallSpectrum, str] | None:
+    """The spectrum of ``g`` from the split, and its path: "(P3+P1)-free"
+    when ``g`` is, else "modular"; None when the split meets a prime
+    piece."""
+    res = _join(g, g.full_mask())
+    if res is None:
+        return None
+    classes, cliques = res
+    witnesses = {len(classes): Colouring.from_class_masks(g.n, classes)} if classes else {}
+    return FallSpectrum(tuple(witnesses), witnesses), "(P3+P1)-free" if cliques else "modular"
 
 
 def fall_p3p1_free(g: Graph) -> FallSpectrum:
@@ -34,73 +93,30 @@ def fall_p3p1_free(g: Graph) -> FallSpectrum:
 
     The spectrum is {sum of per-co-component colour counts} when every
     co-component has a fall colouring, else empty.  Witness classes:
-    dominating vertices as singletons, matched pairs as two-vertex classes,
-    cliques coloured rainbow, with disjoint colour ranges across
-    co-components.
+    single vertices, matched pairs, and cliques coloured rainbow, with
+    disjoint colour ranges across co-components.
     """
-    parts = p3p1_decomposition(g)
-    if parts is None:
+    res = _split(g)
+    if res is None or res[1] != "(P3+P1)-free":
         raise PreconditionError("input graph is not (P3+P1)-free")
-    return _fall_p3p1(g, parts)
-
-
-def _fall_3p1_free(sub: Graph) -> list[int] | None:
-    full = sub.full_mask()
-    dom = [v for v in range(sub.n) if sub.adj[v] | (1 << v) == full]
-    keep = [v for v in range(sub.n) if sub.adj[v] | (1 << v) != full]
-    matching = perfect_matching(sub.subgraph(keep).complement())
-    if matching is None:
-        return None
-    colour = [0] * sub.n
-    for c, v in enumerate(dom, start=1):
-        colour[v] = c
-    for c, (a, b) in enumerate(matching.edges, start=len(dom) + 1):
-        colour[keep[a]] = colour[keep[b]] = c
-    return colour
-
-
-def _fall_clique_union(sub: Graph) -> list[int] | None:
-    comps = sub.component_masks()
-    if len({mask.bit_count() for mask in comps}) != 1:
-        return None
-    colour = [0] * sub.n
-    for mask in comps:
-        for c, v in enumerate(bits(mask), start=1):
-            colour[v] = c
-    return colour
-
-
-def _fall_p3p1(g: Graph, parts) -> FallSpectrum:
-    colour = [0] * g.n
-    k = 0
-    for vs, kind in parts:
-        part = _fall_3p1_free if kind is CoComponentKind.THREE_P1_FREE else _fall_clique_union
-        local = part(g.subgraph(vs))
-        if local is None:
-            return FallSpectrum(())
-        for v, c in zip(vs, local):
-            colour[v] = k + c
-        k += max(local)
-    if not k:  # the empty graph has no fall colouring
-        return FallSpectrum(())
-    return FallSpectrum((k,), {k: Colouring.from_values(colour)})
+    return res[0]
 
 
 @dataclass(frozen=True)
 class FallUniqueness:
     fall_unique: bool
     spectrum: FallSpectrum
-    path: str  # "(P3+P1)-free" | "oracle"
+    path: str  # "(P3+P1)-free" | "modular" | "oracle"
 
 
 def fall_uniqueness_report(g: Graph, *, budget: int | None = None,
                            force_oracle: bool = False) -> FallUniqueness:
-    """Fall spectrum by class: the polynomial solver when the co-component
-    decomposition shows ``g`` is (P3+P1)-free, else the oracle within the
-    vertex ``budget``.  Flags graphs whose spectrum is a single value."""
-    parts = None if force_oracle else p3p1_decomposition(g)
-    if parts is not None:
-        path, spectrum = "(P3+P1)-free", _fall_p3p1(g, parts)
-    else:
-        path, spectrum = "oracle", fall_spectrum(g, budget=budget)
+    """Fall spectrum by class: the split when it meets no prime piece, else
+    the oracle within the vertex ``budget``.  The path is "(P3+P1)-free"
+    when ``g`` is, "modular" for the other graphs the split answers.  Flags
+    graphs whose spectrum is a single value."""
+    res = None if force_oracle else _split(g)
+    if res is None:
+        res = fall_spectrum(g, budget=budget), "oracle"
+    spectrum, path = res
     return FallUniqueness(len(spectrum.values) == 1, spectrum, path)

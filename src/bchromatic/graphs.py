@@ -141,21 +141,23 @@ class Graph:
 
     # -- connectivity -----------------------------------------------------
 
-    def component_masks(self) -> list[int]:
-        seen = 0
+    def component_masks(self, within: int | None = None, *, co: bool = False) -> list[int]:
+        """The components of the subgraph induced by ``within`` (every
+        vertex by default), in order of their least vertex.  With ``co`` the
+        search walks non-edges, which gives the components of the
+        complement without building it."""
+        adj = self.adj
+        left = self.full_mask() if within is None else within
         out = []
-        for v in range(self.n):
-            if (seen >> v) & 1:
-                continue
-            comp = 1 << v
-            frontier = 1 << v
+        while left:
+            comp = frontier = left & -left
             while frontier:
                 nxt = 0
                 for u in bits(frontier):
-                    nxt |= self.adj[u]
-                frontier = nxt & ~comp
+                    nxt |= ~adj[u] if co else adj[u]
+                frontier = nxt & left & ~comp
                 comp |= frontier
-            seen |= comp
+            left ^= comp
             out.append(comp)
         return out
 
@@ -196,11 +198,12 @@ def complete_join(g1: Graph, g2: Graph) -> Graph:
 
 
 def co_components(g: Graph) -> list[tuple[int, ...]]:
-    """Vertex sets of the connected components of the complement of ``g``.
+    """Vertex sets of the connected components of the complement of ``g``,
+    in order of their least vertex.
 
     Distinct co-components are complete to each other in ``g``.
     """
-    return [tuple(sorted(c)) for c in sorted(g.complement().components())]
+    return [tuple(bits(m)) for m in g.component_masks(co=True)]
 
 
 # -- m-degree, dense vertices, tightness ----------------------------------
@@ -263,6 +266,16 @@ class Colouring:
         if min(cols) < 1 or used != set(range(1, k + 1)):
             raise ColouringError(f"colours must be exactly 1..k, got {sorted(used)}")
         return cls(cols, k)
+
+    @classmethod
+    def from_class_masks(cls, n: int, masks: Iterable[int]) -> "Colouring":
+        """The colouring of n vertices that gives the members of the i-th
+        mask colour i."""
+        colour = [0] * n
+        for c, mask in enumerate(masks, 1):
+            for v in bits(mask):
+                colour[v] = c
+        return cls.from_values(colour)
 
     def classes(self) -> dict[int, tuple[int, ...]]:
         out: dict[int, list[int]] = {c: [] for c in range(1, self.k + 1)}

@@ -221,6 +221,8 @@ def parse_formula(text: str) -> Formula33:
             continue
         parts = line.split()
         if parts[0] == "p":
+            if n is not None:
+                raise ParseError(i, "duplicate problem line")
             if len(parts) != 3 or parts[1] != "13sat":
                 raise ParseError(i, f"malformed problem line {line!r}")
             n = int(parts[2])

@@ -534,11 +534,7 @@ def fall_spectrum(g: Graph, *, budget: int | None = None) -> FallSpectrum:
     witnesses: dict[int, Colouring] = {}
     for cover in _exact_covers(g.full_mask(), sets):
         if len(cover) not in witnesses:
-            colour = [0] * g.n
-            for c, i in enumerate(cover, 1):
-                for v in bits(sets[i]):
-                    colour[v] = c
-            witnesses[len(cover)] = Colouring.from_values(colour)
+            witnesses[len(cover)] = Colouring.from_class_masks(g.n, [sets[i] for i in cover])
     return FallSpectrum(tuple(sorted(witnesses)), witnesses)
 
 

@@ -344,33 +344,31 @@ def is_complete_multipartite(g: Graph) -> bool:
     return _partitioned(_closed_non_neighbourhoods(g), g.full_mask())
 
 
-class CoComponentKind(Enum):
-    THREE_P1_FREE = "3P1-free"
-    CLIQUE_UNION = "clique-union"
+def has_independent_triple(g: Graph, mask: int) -> bool:
+    """Whether ``mask`` holds three pairwise non-adjacent vertices of ``g``."""
+    adj = g.adj
+    for u in bits(mask):
+        later = mask & ~adj[u] & ~((2 << u) - 1)  # non-neighbours of u above it
+        for v in bits(later):
+            if later & ~(adj[v] | 1 << v):
+                return True
+    return False
 
 
-def p3p1_decomposition(g: Graph) -> list[tuple[tuple[int, ...], CoComponentKind]] | None:
-    """The co-components of ``g`` in ``co_components`` order, each with its
-    kind, or None exactly when ``g`` has an induced P3+P1.
+def p3p1_decomposition(g: Graph) -> list[tuple[int, ...]] | None:
+    """The co-components of ``g`` in ``co_components`` order, or None
+    exactly when ``g`` has an induced P3+P1.
 
     The complement of P3+P1 is the paw, and a graph is paw-free iff each of
     its components is triangle-free or complete multipartite (Olariu 1988).
     Read in ``g``: each co-component has no independent triple, or is a
-    disjoint union of complete graphs.  The first kind wins when both hold.
+    disjoint union of complete graphs.
     """
-    co = g.complement()
     closed = _closed_neighbourhoods(g)
-    parts = []
-    for comp in co.component_masks():
-        # an independent triple of g is a triangle of its complement
-        if not any(co.adj[u] & co.adj[v] for u in bits(comp) for v in bits(co.adj[u]) if v > u):
-            kind = CoComponentKind.THREE_P1_FREE
-        elif _partitioned(closed, comp):
-            kind = CoComponentKind.CLIQUE_UNION
-        else:
-            return None
-        parts.append((tuple(bits(comp)), kind))
-    return parts
+    parts = g.component_masks(co=True)
+    if any(not _partitioned(closed, p) and has_independent_triple(g, p) for p in parts):
+        return None
+    return [tuple(bits(p)) for p in parts]
 
 
 # -- freeness proofs ------------------------------------------------------------

@@ -445,6 +445,36 @@ def random_clique_union(rng: random.Random, n: int) -> Graph:
     return g
 
 
+def random_cograph(rng: random.Random, n: int) -> Graph:
+    """A random P4-free graph on at most ``n`` vertices: one vertex, the
+    join of two to four random cographs, the disjoint union of copies of one
+    (whose spectra agree, so fall colourings survive the union), or the
+    disjoint union of distinct ones.  Vertex names are shuffled."""
+    def sizes(n: int, k: int) -> list[int]:
+        cuts = sorted(rng.sample(range(1, n), k - 1))
+        return [b - a for a, b in zip([0] + cuts, cuts + [n])]
+
+    def build(n: int) -> Graph:
+        if n == 1:
+            return Graph.empty(1)
+        k = rng.randint(2, min(n, 4))
+        kind = rng.random()
+        if kind < 0.45:
+            parts, op = [build(m) for m in sizes(n, k)], complete_join
+        elif kind < 0.8:
+            parts, op = [build(n // k)] * k, disjoint_union
+        else:
+            parts, op = [build(m) for m in sizes(n, k)], disjoint_union
+        g = parts[0]
+        for part in parts[1:]:
+            g = op(g, part)
+        return g
+    g = build(n)
+    name = list(range(g.n))
+    rng.shuffle(name)
+    return Graph.from_edges(g.n, [(name[u], name[v]) for u, v in g.edges()])
+
+
 def random_p3p1_free(rng: random.Random, n: int) -> Graph:
     """Complete join of co-components that are 3P1-free or clique unions;
     such graphs are exactly the (P3+P1)-free ones."""

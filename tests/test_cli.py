@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from bchromatic.cli import build_parser, main
 from bchromatic.gadgets import REDUCTIONS, petersen_graph
-from bchromatic.graphs import Colouring, Graph, is_tight_b_colouring, proper_violation
+from bchromatic.graphs import (Colouring, Graph, is_fall_colouring, is_tight_b_colouring,
+                               proper_violation)
 from bchromatic.io import graph_digest, parse_dimacs, write_dimacs, write_formula
 from bchromatic.oracles import Formula33
 from bchromatic.patterns import pattern_graph
@@ -87,6 +88,18 @@ def test_fall_command(files, capsys):
     assert is_fall_colouring(pattern_graph("C3"), witness)
     code, rep = run(capsys, "fall", files["c4"])
     assert rep["spectrum"] == [2] and rep["fall_chromatic"] == 2
+
+
+def test_fall_on_a_cograph_past_the_oracle_limit(files, capsys):
+    """Five disjoint claws: 20 vertices, P4-free, with an induced P3+P1.
+    The split answers without the oracle, whose limit is 14 vertices."""
+    claws = Graph.from_edges(20, [(4 * i, 4 * i + j) for i in range(5) for j in (1, 2, 3)])
+    path = files["dir"] / "claws.col"
+    path.write_text(write_dimacs(claws))
+    code, rep = run(capsys, "fall", str(path))
+    assert code == 0 and rep["path"] == "modular" and rep["spectrum"] == [2]
+    witness = Colouring.from_values(rep["witnesses"]["2"]["colours"])
+    assert is_fall_colouring(claws, witness)
 
 
 def test_analyze_empty_graph(files, capsys):

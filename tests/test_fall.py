@@ -1,18 +1,23 @@
-"""Fall colourings of (P3+P1)-free graphs and uniqueness reporting."""
+"""Fall colourings by the component/co-component split, and uniqueness
+reporting."""
 
 import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bchromatic import fall
 from bchromatic.fall import fall_p3p1_free, fall_uniqueness_report
 from bchromatic.gadgets import crown_graph
-from bchromatic.graphs import Graph, PreconditionError, is_fall_colouring
+from bchromatic.graphs import (Graph, PreconditionError, complete_join,
+                               disjoint_union, is_fall_colouring)
 from bchromatic.oracles import fall_spectrum
-from bchromatic.patterns import (CoComponentKind, p3p1_decomposition,
-                                 pattern_graph)
+from bchromatic.patterns import is_free, p3p1_decomposition, pattern_graph
 
-from helpers import all_graphs_up_to, random_p3p1_free, sample_in_class_p3p1
+from helpers import (all_graphs_up_to, random_cograph, random_p3p1_free,
+                     sample_in_class_p3p1)
 
 
 def cocktail_party(n: int) -> Graph:
@@ -55,8 +60,9 @@ def _dominating_within(g, vs):
 
 
 def test_case1_pairs_have_size_two():
-    """After shedding dominating vertices, every class in a 3P1-free
-    co-component witness has size exactly two."""
+    """In the witness, a dominating vertex of a 3P1-free co-component (there
+    is one only when the co-component is that vertex alone) is a class by
+    itself, and every other class in it has exactly two vertices."""
     rng = random.Random(50)
     seen = 0
     for g in sample_in_class_p3p1(rng, 300, (6, 9)):
@@ -64,8 +70,8 @@ def test_case1_pairs_have_size_two():
         if not res.values:
             continue
         colouring = res.witnesses[res.values[0]]
-        for vs, kind in p3p1_decomposition(g):
-            if kind is not CoComponentKind.THREE_P1_FREE:
+        for vs in p3p1_decomposition(g):
+            if not is_free(g.subgraph(vs), "3P1"):
                 continue
             singles = _dominating_within(g, vs)
             classes = {}
@@ -88,7 +94,7 @@ def test_colour_ranges_disjoint_across_cocomponents():
             continue
         colouring = res.witnesses[res.values[0]]
         used = [set(colouring.colours[v] for v in vs)
-                for vs, _ in p3p1_decomposition(g)]
+                for vs in p3p1_decomposition(g)]
         for i in range(len(used)):
             for j in range(i + 1, len(used)):
                 assert not used[i] & used[j]
@@ -133,7 +139,7 @@ def test_empty_cocomponent_after_dominating_removal():
     res = fall_p3p1_free(g)
     assert res.values == (4,)
     # the first co-component is all dominating, so it holds no pair
-    vs, _ = p3p1_decomposition(g)[0]
+    vs = p3p1_decomposition(g)[0]
     assert _dominating_within(g, vs) == set(vs)
     colours = [res.witnesses[4].colours[v] for v in vs]
     assert len(set(colours)) == len(colours)
@@ -154,3 +160,55 @@ def test_fall_reports_pinned():
     assert count == 7078
     assert digest.hexdigest() == ("2b45f24413f000f14c95882f6a81ca88"
                                   "1280e947bf6fe8b6be733d5727baec9c")
+
+
+def test_split_agrees_with_the_oracle_on_small_graphs():
+    """On every graph with at most 6 vertices: whenever the split answers,
+    its spectrum is the oracle's and every witness is a fall colouring; the
+    path is "(P3+P1)-free" exactly for the (P3+P1)-free graphs; and every
+    P4-free graph gets an answer."""
+    answered = modular = 0
+    for g in all_graphs_up_to(6):
+        rep = fall_uniqueness_report(g)
+        if rep.path == "oracle":
+            assert not is_free(g, "P4"), g.adj
+            continue
+        answered += 1
+        modular += rep.path == "modular"
+        assert rep.spectrum.values == fall_spectrum(g).values, g.adj
+        for k in rep.spectrum.values:
+            assert rep.spectrum.witnesses[k].k == k
+            assert is_fall_colouring(g, rep.spectrum.witnesses[k]), g.adj
+        assert (rep.path == "(P3+P1)-free") == (p3p1_decomposition(g) is not None), g.adj
+    assert (answered, modular) == (13_647, 6_569)
+
+
+def test_prime_piece_after_an_empty_spectrum_goes_to_the_oracle():
+    """K1+K2 has no fall colouring, and the bull, placed after it, is prime
+    (connected, co-connected, with an independent triple): the split must
+    still reach the bull, in a join and in a union alike, and hand the
+    whole graph to the oracle."""
+    bull = Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 4)])
+    k1k2 = pattern_graph("P1+P2")
+    for g in (complete_join(k1k2, bull), disjoint_union(k1k2, bull)):
+        rep = fall_uniqueness_report(g)
+        assert rep.path == "oracle"
+        assert rep.spectrum == fall_spectrum(g)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 200))
+def test_cographs_never_reach_the_oracle(rng, n):
+    """Every P4-free graph is disconnected or co-disconnected, so the split
+    answers for it whole, with witnesses that are fall colourings."""
+    g = random_cograph(rng, n)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the split reached the oracle")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fall, "fall_spectrum", refuse)
+        rep = fall_uniqueness_report(g)
+    assert rep.path in ("(P3+P1)-free", "modular")
+    for k in rep.spectrum.values:
+        assert rep.spectrum.witnesses[k].k == k
+        assert is_fall_colouring(g, rep.spectrum.witnesses[k])

@@ -110,6 +110,29 @@ def test_co_components():
         assert sorted(parts) == sorted(tuple(sorted(c)) for c in g.complement().components())
 
 
+def test_component_masks_within_a_mask():
+    """The components of an induced subgraph, and with ``co`` those of its
+    complement, come back as masks of the host's vertices."""
+    rng = random.Random(4)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(0, 9), rng.random())
+        within = rng.getrandbits(g.n)
+        vs = [v for v in range(g.n) if within >> v & 1]
+        for co in (False, True):
+            sub = g.subgraph(vs).complement() if co else g.subgraph(vs)
+            want = [sum(1 << vs[i] for i in comp) for comp in sub.components()]
+            assert g.component_masks(within, co=co) == want
+
+
+def test_co_components_build_no_complement(monkeypatch):
+    """The co-component search walks non-edges: an edgeless graph on 20,000
+    vertices is one co-component, found without the n^2/8-byte complement."""
+    def refuse(self):
+        raise AssertionError("complement built")
+    monkeypatch.setattr(Graph, "complement", refuse)
+    assert co_components(Graph.empty(20_000)) == [tuple(range(20_000))]
+
+
 def test_analyze_tight_examples():
     c3 = analyze_tight(pattern_graph("C3"))
     assert c3.m == 3 and c3.is_tight

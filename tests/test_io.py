@@ -59,6 +59,13 @@ def test_formula_round_trip():
         parse_formula("p 13sat 3\n1 2\n")
 
 
+def test_formula_duplicate_problem_line():
+    """A second problem line is an error, as in DIMACS, not a restart."""
+    with pytest.raises(ParseError, match="^line 4: duplicate problem line$") as err:
+        parse_formula("p 13sat 3\n1 2 3\n1 2 3\np 13sat 3\n1 2 3\n")
+    assert err.value.line_no == 4
+
+
 def test_load_graph_dispatch(tmp_path):
     g = petersen_graph()
     col = tmp_path / "g.col"

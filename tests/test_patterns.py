@@ -7,11 +7,11 @@ import random
 import pytest
 
 from bchromatic.graphs import Graph, bits, co_components
-from bchromatic.patterns import (CoComponentKind, PatternError, Verdict,
-                                 _closed_neighbourhoods, _closed_non_neighbourhoods, _peel,
-                                 classify, contains_induced, is_complete_multipartite,
-                                 is_free, is_induced_subgraph_of, is_linear_forest,
-                                 is_union_of_cliques, p3p1_decomposition, pattern_graph)
+from bchromatic.patterns import (PatternError, Verdict, _closed_neighbourhoods,
+                                 _closed_non_neighbourhoods, _peel, classify, contains_induced,
+                                 has_independent_triple, is_complete_multipartite, is_free,
+                                 is_induced_subgraph_of, is_linear_forest, is_union_of_cliques,
+                                 p3p1_decomposition, pattern_graph)
 
 from helpers import (all_graphs, all_graphs_up_to, naive_contains_induced, random_graph,
                      reference_contains_induced, reference_witness_table, tight_2p2p1_family)
@@ -106,24 +106,22 @@ def test_is_induced_subgraph_of():
 
 
 def test_cocomponent_kind():
+    """Each input here is co-connected, so it is its own only part, and
+    (P3+P1)-free: it has no independent triple or is a union of cliques."""
     from bchromatic.graphs import disjoint_union
 
-    def kind(g):
-        # every input here is co-connected, so it is its own only part
-        (part, k), = p3p1_decomposition(g)
-        assert part == tuple(range(g.n))
-        return k
-
-    # two triangles still have independence number 2, so the 3P1-free branch
-    # takes precedence; three triangles genuinely need the clique-union branch
+    # two triangles still have independence number 2; three need the
+    # clique-union side; C5 and P4 have independence number 2 and are no
+    # union of cliques
     k3k3 = disjoint_union(pattern_graph("K3"), pattern_graph("K3"))
-    assert kind(k3k3) is CoComponentKind.THREE_P1_FREE
-    assert kind(pattern_graph("3K3")) is CoComponentKind.CLIQUE_UNION
-    assert kind(pattern_graph("3P2")) is CoComponentKind.CLIQUE_UNION
-    assert kind(pattern_graph("K2+K4")) is CoComponentKind.THREE_P1_FREE
-    # C5 and P4 both have independence number 2, hence no induced 3P1
-    assert kind(pattern_graph("C5")) is CoComponentKind.THREE_P1_FREE
-    assert kind(pattern_graph("P4")) is CoComponentKind.THREE_P1_FREE
+    for g, triple, cliques in [(k3k3, False, True), (pattern_graph("3K3"), True, True),
+                               (pattern_graph("3P2"), True, True),
+                               (pattern_graph("K2+K4"), False, True),
+                               (pattern_graph("C5"), False, False),
+                               (pattern_graph("P4"), False, False)]:
+        assert p3p1_decomposition(g) == co_components(g) == [tuple(range(g.n))]
+        assert has_independent_triple(g, g.full_mask()) is triple
+        assert is_union_of_cliques(g) is cliques
     # C6 has an induced P3+P1
     assert p3p1_decomposition(pattern_graph("C6")) is None
 
@@ -131,19 +129,20 @@ def test_cocomponent_kind():
 def test_p3p1_decomposition_matches_generic_search():
     # is_free(g, "P3+P1") now goes through the decomposition itself, so the
     # unpruned reference search is the second route
-    p3p1, p3 = pattern_graph("P3+P1"), pattern_graph("P3")
+    p3p1, p3, p1x3 = pattern_graph("P3+P1"), pattern_graph("P3"), pattern_graph("3P1")
     for g in all_graphs_up_to(6):
         parts = p3p1_decomposition(g)
         assert (parts is None) == (reference_contains_induced(g, p3p1) is not None), g.adj
         if parts is None:
             continue
-        assert [vs for vs, _ in parts] == co_components(g)
-        for vs, kind in parts:
+        assert parts == co_components(g)
+        for vs in parts:
             sub = g.subgraph(vs)
-            want = (CoComponentKind.THREE_P1_FREE if is_free(sub, "3P1")
-                    else CoComponentKind.CLIQUE_UNION if reference_contains_induced(sub, p3) is None
-                    else None)
-            assert kind is want, g.adj
+            triple = reference_contains_induced(sub, p1x3) is not None
+            mask = sum(1 << v for v in vs)
+            assert has_independent_triple(g, mask) is triple, g.adj
+            # 3P1-free, or a union of cliques, which is P3-free
+            assert not triple or reference_contains_induced(sub, p3) is None, g.adj
 
 
 def test_partition_tests_match_the_reference_search():
