@@ -19,8 +19,8 @@ from .patterns import (DichotomyVerdict, Verdict, classify,
                        p3p1_decomposition, pattern_graph)
 from .tight import (PartialBColouring, PartialViolation, dense_partition,
                     extend_partial, solve_tight, tight_b_2p2p1_free,
-                    tight_b_p3p1_free, validate_partial)
-from .fall import fall_p3p1_free, fall_uniqueness_report
+                    validate_partial)
+from .fall import fall_uniqueness_report
 from .gadgets import (EDGE3COL_VARIANTS, assignment_to_fall_colouring,
                       cobipartite_hardness_instance, edge3col_instance,
                       edge_colouring_to_tight_bcolouring, fall_gadget_union,

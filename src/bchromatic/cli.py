@@ -89,7 +89,7 @@ def cmd_tightb(args) -> int:
     rep = _report("tightb", args.path, g)
     t0 = time.perf_counter()
     try:
-        res = solve_tight(g, node_budget=args.budget, force_oracle=args.force_oracle)
+        res = solve_tight(g, node_budget=args.budget)
     except NotTightError as exc:
         info = analyze_tight(g)
         rep.update({"status": "error", "error": str(exc),
@@ -112,7 +112,7 @@ def cmd_fall(args) -> int:
     g = load_graph(args.path)
     rep = _report("fall", args.path, g)
     t0 = time.perf_counter()
-    res = fall_uniqueness_report(g, budget=_oracle_budget(), force_oracle=args.force_oracle)
+    res = fall_uniqueness_report(g, budget=_oracle_budget())
     values = list(res.spectrum.values)
     rep.update({
         "path": res.path,
@@ -247,13 +247,20 @@ def cmd_show(args) -> int:
     return EXIT_CODES["ok"]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises on a usage error, which ``main`` reports as one JSON error;
+    the subparsers are built from the same class."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The parser tree, built once per process and shared by every call:
     parsing keeps no state in it, and building it costs more than most
     commands' own work.  Callers must not change it."""
-    p = argparse.ArgumentParser(prog="bchromatic",
-                                description="exact b-, tight b- and fall colouring toolkit")
+    p = _Parser(prog="bchromatic", description="exact b-, tight b- and fall colouring toolkit")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="cmd", required=True)
 
@@ -266,13 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("tightb", help="tight b-colouring (class dispatch, oracle fallback)")
     sp.add_argument("path")
-    sp.add_argument("--force-oracle", action="store_true")
     sp.add_argument("--budget", type=int, help="oracle node budget")
     common(sp)
 
     sp = sub.add_parser("fall", help="fall spectrum (polynomial class or oracle)")
     sp.add_argument("path")
-    sp.add_argument("--force-oracle", action="store_true")
     common(sp)
 
     sp = sub.add_parser("classify", help="complexity verdict for H-free inputs, H given as a graph file")
@@ -312,8 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = None
     try:
+        args = build_parser().parse_args(argv)
         # looked up per call, not kept in the cached parser, so a cmd_*
         # function replaced after the first call is the one that runs
         return globals()[f"cmd_{args.cmd}"](args)

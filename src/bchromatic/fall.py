@@ -6,7 +6,7 @@ maximal independent set meets every component of a graph and lies inside
 one of its co-components (Dunbar et al. 2000).  The split therefore walks
 vertex masks, and the first rule that applies handles each piece:
 
-* one vertex: one class;
+* no edges: one class;
 * a disconnected complement (a join): each co-component is coloured on its
   own, in a range of colours of its own, in co-component order, so the
   spectrum is the sumset of theirs;
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Colouring, Graph, PreconditionError, bits
+from .graphs import Colouring, Graph, bits
 from .matching import perfect_matching
 from .oracles import FallSpectrum, fall_spectrum
 from .patterns import has_independent_triple
@@ -54,7 +54,7 @@ def _join(g: Graph, mask: int) -> tuple[list[int], bool] | None:
 
 def _piece(g: Graph, mask: int) -> tuple[list[int], bool] | None:
     """``_join`` for a co-connected ``g[mask]``."""
-    if not mask & (mask - 1):
+    if not any(g.adj[v] & mask for v in bits(mask)):
         return [mask], True
     if not has_independent_triple(g, mask):
         vs = list(bits(mask))
@@ -88,20 +88,6 @@ def _split(g: Graph) -> tuple[FallSpectrum, str] | None:
     return FallSpectrum(tuple(witnesses), witnesses), "(P3+P1)-free" if cliques else "modular"
 
 
-def fall_p3p1_free(g: Graph) -> FallSpectrum:
-    """Fall spectrum and witness of a (P3+P1)-free graph.
-
-    The spectrum is {sum of per-co-component colour counts} when every
-    co-component has a fall colouring, else empty.  Witness classes:
-    single vertices, matched pairs, and cliques coloured rainbow, with
-    disjoint colour ranges across co-components.
-    """
-    res = _split(g)
-    if res is None or res[1] != "(P3+P1)-free":
-        raise PreconditionError("input graph is not (P3+P1)-free")
-    return res[0]
-
-
 @dataclass(frozen=True)
 class FallUniqueness:
     fall_unique: bool
@@ -109,14 +95,10 @@ class FallUniqueness:
     path: str  # "(P3+P1)-free" | "modular" | "oracle"
 
 
-def fall_uniqueness_report(g: Graph, *, budget: int | None = None,
-                           force_oracle: bool = False) -> FallUniqueness:
+def fall_uniqueness_report(g: Graph, *, budget: int | None = None) -> FallUniqueness:
     """Fall spectrum by class: the split when it meets no prime piece, else
     the oracle within the vertex ``budget``.  The path is "(P3+P1)-free"
     when ``g`` is, "modular" for the other graphs the split answers.  Flags
     graphs whose spectrum is a single value."""
-    res = None if force_oracle else _split(g)
-    if res is None:
-        res = fall_spectrum(g, budget=budget), "oracle"
-    spectrum, path = res
+    spectrum, path = _split(g) or (fall_spectrum(g, budget=budget), "oracle")
     return FallUniqueness(len(spectrum.values) == 1, spectrum, path)

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
-from .graphs import (Colouring, Graph, GraphError, _has_b_vertex_everywhere,
+from .graphs import (Colouring, Graph, GraphError, PreconditionError, _has_b_vertex_everywhere,
                      analyze_tight, bits, is_maximal_independent_set, m_degree)
 from .matching import maximum_matching
 
@@ -66,7 +66,7 @@ def _past_limit(n: int, budget: int | None, default: int, oracle: str, *,
     raise BudgetExceededError(f"{oracle} oracle limited to n<={limit}, got n={n}")
 
 
-class NotTightError(GraphError):
+class NotTightError(PreconditionError):
     pass
 
 

@@ -21,14 +21,13 @@ pair T2 against the uncoloured boundary S with an auxiliary bipartite graph
 (u and s are pairable iff non-adjacent with no common neighbour inside
 (T2 + T') - u) and test for a perfect matching.
 
-On top of the extension test sit the two polynomial solvers: the
-(2P2+P1)-free algorithm, which forces boundary colours through the T(u,s)
-completeness rule, and the (P3+P1)-free algorithm.  A tight graph that is
-the join of two or more co-components has a tight b-colouring only when it
-is complete (see ``tight_b_p3p1_free``), so the (P3+P1)-free algorithm runs
-the (2P2+P1)-free core on the whole graph or answers no outright.
-``solve_tight`` is the one place that chooses between them and the exact
-oracle.
+On top of the extension test sits the (2P2+P1)-free algorithm, which
+forces boundary colours through the T(u,s) completeness rule.  A tight
+graph that is the join of two or more co-components has a tight
+b-colouring only when it is complete (see ``solve_tight``), so on a
+(P3+P1)-free graph the same core runs on the whole graph or the answer is
+no outright.  ``solve_tight`` is the one place that chooses between the two
+classes and the exact oracle.
 """
 
 from __future__ import annotations
@@ -241,10 +240,10 @@ def boundary_forcings(g: Graph, info: TightAnalysis) -> dict[int, int] | None:
     return forced
 
 
-def _require_tight(g: Graph, error: type[GraphError] = PreconditionError) -> TightAnalysis:
+def _require_tight(g: Graph) -> TightAnalysis:
     info = analyze_tight(g)
     if not info.is_tight:
-        raise error("input graph is not tight")
+        raise NotTightError("input graph is not tight")
     return info
 
 
@@ -272,16 +271,29 @@ def _tight_2p2p1(g: Graph, info: TightAnalysis) -> Colouring | None:
     return extend_partial(partial)
 
 
-# -- (P3+P1)-free tight graphs -------------------------------------------------
+# -- dispatch --------------------------------------------------------------------
 
 
-def tight_b_p3p1_free(g: Graph) -> Colouring | None:
-    """Tight b-colouring of a tight (P3+P1)-free graph, or None.
+@dataclass(frozen=True)
+class TightSolve:
+    path: str  # "(2P2+P1)-free" | "(P3+P1)-free" | "oracle"
+    status: str  # "found" | "absent" | "inconclusive"
+    colouring: Colouring | None
+    m: int
+    nodes: int | None  # oracle search nodes; None on the polynomial paths
 
-    Distinct co-components are complete to each other, and a tight graph
-    with two or more co-components has a tight b-colouring only when it is
-    complete.  Let T be the m dense vertices, each of degree m-1, V_i a
-    co-component and p_i the largest degree inside G[V_i]:
+
+def solve_tight(g: Graph, *, node_budget: int | None = None) -> TightSolve:
+    """Tight b-colouring by class: the (2P2+P1)-free solver, else the
+    (P3+P1)-free rule, else the exact oracle within ``node_budget``.
+
+    Each class is recognised once: one induced 2P2+P1 search, then the
+    co-component decomposition, which recognises (P3+P1)-freeness and
+    counts the co-components.  Distinct co-components are complete to each
+    other, and a tight graph with two or more co-components has a tight
+    b-colouring only when it is complete.  Let T be the m dense vertices,
+    each of degree m-1, V_i a co-component and p_i the largest degree
+    inside G[V_i]:
 
     * each vertex of V_i sees all n - |V_i| vertices outside V_i, so a V_i
       without dense vertices would see all of T and its vertices would be
@@ -296,53 +308,21 @@ def tight_b_p3p1_free(g: Graph) -> Colouring | None:
 
     With two or more co-components every vertex lies outside some V_i, so
     the bound holds for all i only when every vertex is dense, that is when
-    G = K_n.  Any other such join is refuted.  Otherwise G is K_n or one
-    co-component, and the (2P2+P1)-free core colours it: a graph without an
-    independent triple is (2P2+P1)-free, and in a union of cliques the dense
-    set is the unique largest clique with an empty boundary, so the core
-    forces nothing and its greedy completion colours each clique 1, 2, ...
-    in vertex order.
+    G = K_n.  Any other such join is refuted.  Otherwise a (P3+P1)-free G
+    is K_n or one co-component, and the (2P2+P1)-free core colours it: a
+    graph without an independent triple is (2P2+P1)-free, and in a union of
+    cliques the dense set is the unique largest clique with an empty
+    boundary, so the core forces nothing and its greedy completion colours
+    each clique 1, 2, ... in vertex order.
+
+    Raises NotTightError, a PreconditionError, when ``g`` is not tight.
     """
     info = _require_tight(g)
-    parts = p3p1_decomposition(g)
-    if parts is None:
-        raise PreconditionError("input graph is not (P3+P1)-free")
-    return _tight_p3p1(g, info, parts)
-
-
-def _tight_p3p1(g: Graph, info: TightAnalysis, parts) -> Colouring | None:
-    if len(parts) > 1 and info.m < g.n:
-        return None
-    return _tight_2p2p1(g, info)
-
-
-# -- dispatch --------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TightSolve:
-    path: str  # "(2P2+P1)-free" | "(P3+P1)-free" | "oracle"
-    status: str  # "found" | "absent" | "inconclusive"
-    colouring: Colouring | None
-    m: int
-    nodes: int | None  # oracle search nodes; None on the polynomial paths
-
-
-def solve_tight(g: Graph, *, node_budget: int | None = None,
-                force_oracle: bool = False) -> TightSolve:
-    """Tight b-colouring by class: the (2P2+P1)-free solver, else the
-    (P3+P1)-free solver, else the exact oracle within ``node_budget``.
-
-    Each class is recognised once: one induced 2P2+P1 search, then the
-    co-component decomposition, which recognises (P3+P1)-freeness and
-    counts the co-components the (P3+P1)-free solver needs.
-    Raises NotTightError when ``g`` is not tight.
-    """
-    info = _require_tight(g, NotTightError)
-    if not force_oracle and is_free(g, "2P2+P1"):
+    if is_free(g, "2P2+P1"):
         path, c = "(2P2+P1)-free", _tight_2p2p1(g, info)
-    elif not force_oracle and (parts := p3p1_decomposition(g)) is not None:
-        path, c = "(P3+P1)-free", _tight_p3p1(g, info, parts)
+    elif (parts := p3p1_decomposition(g)) is not None:
+        refuted = len(parts) > 1 and info.m < g.n
+        path, c = "(P3+P1)-free", None if refuted else _tight_2p2p1(g, info)
     else:
         res = tight_b_exact(g, node_budget=node_budget)
         return TightSolve("oracle", res.status, res.colouring, info.m, res.nodes)

@@ -8,7 +8,7 @@ import hashlib
 import itertools
 import random
 
-from bchromatic.fall import fall_p3p1_free
+from bchromatic.fall import fall_uniqueness_report
 from bchromatic.gadgets import (EDGE3COL_VARIANTS, FORMULA_N3_SATISFIABLE,
                                 FORMULA_N6_UNSATISFIABLE,
                                 cobipartite_hardness_instance, crown_graph,
@@ -24,9 +24,8 @@ from bchromatic.oracles import (b_chromatic_number, chromatic_number,
                                 tight_b_exact)
 from bchromatic.patterns import Verdict, classify, is_free, pattern_graph
 from bchromatic.tight import (PartialViolation, extend_partial,
-                              is_b_precolouring_extension,
-                              tight_b_2p2p1_free, tight_b_p3p1_free,
-                              validate_partial)
+                              is_b_precolouring_extension, solve_tight,
+                              tight_b_2p2p1_free, validate_partial)
 
 from helpers import (all_graphs, all_graphs_up_to, brute_max_matching_size,
                      footnote_graph, independent_set_partitions,
@@ -90,11 +89,18 @@ def _tight_solver_equivalence(pattern, solver, rng):
     return handled, disagreements
 
 
+def _dispatched(g):
+    """``solve_tight``'s colouring, counted only off the oracle path."""
+    res = solve_tight(g)
+    assert res.path != "oracle", g.adj
+    return res.colouring
+
+
 def test_criterion_2_tight_solver_equivalence():
     rng = random.Random(202)
     h1, d1 = _tight_solver_equivalence("2P2+P1", tight_b_2p2p1_free, rng)
-    h2, d2 = _tight_solver_equivalence("P3+P1", tight_b_p3p1_free, rng)
-    footnote_no = tight_b_p3p1_free(footnote_graph()) is None
+    h2, d2 = _tight_solver_equivalence("P3+P1", _dispatched, rng)
+    footnote_no = solve_tight(footnote_graph()).status == "absent"
     ok = d1 == 0 and d2 == 0 and footnote_no and h1 >= 2445 and h2 >= 1635
     _line(2, "tight-solver equivalence", ok,
           f"(2P2+P1)-free: {h1} graphs {d1} disagreements; "
@@ -174,17 +180,19 @@ def test_criterion_4_fall_solver_equivalence():
     for g in all_graphs_up_to(6):
         if is_free(g, "P3+P1"):
             handled += 1
-            res = fall_p3p1_free(g)
+            rep = fall_uniqueness_report(g)
+            res = rep.spectrum
             spectrum = fall_spectrum(g)
-            if res.values != spectrum.values or len(res.values) > 1:
+            if rep.path != "(P3+P1)-free" or res.values != spectrum.values or len(res.values) > 1:
                 disagreements += 1
             elif any(not is_fall_colouring(g, res.witnesses[k]) for k in res.values):
                 disagreements += 1
     for g in sample_in_class_p3p1(rng, 1000):
         handled += 1
-        res = fall_p3p1_free(g)
+        rep = fall_uniqueness_report(g)
+        res = rep.spectrum
         spectrum = fall_spectrum(g)
-        if res.values != spectrum.values or len(res.values) > 1:
+        if rep.path != "(P3+P1)-free" or res.values != spectrum.values or len(res.values) > 1:
             disagreements += 1
     paw_empty = fall_spectrum(pattern_graph("paw")).values == ()
     c3_three = fall_spectrum(pattern_graph("C3")).values == (3,)

@@ -73,7 +73,8 @@ def test_tightb_witness_revalidates(files, capsys):
 def test_tightb_polynomial_path_agrees_with_oracle(files, capsys):
     for name in ("foot", "k5", "p5"):
         code1, rep1 = run(capsys, "tightb", files[name])
-        code2, rep2 = run(capsys, "tightb", files[name], "--force-oracle")
+        code2, rep2 = run(capsys, "oracle", "tightb", files[name])
+        assert rep1["path"] == "(2P2+P1)-free"
         assert code1 == code2
         assert rep1["status"] == rep2["status"]
 
@@ -117,8 +118,8 @@ def test_tightb_random_class_member_matches_oracle(files, capsys):
     path = files["dir"] / "rand9.col"
     path.write_text(write_dimacs(g))
     code1, rep1 = run(capsys, "tightb", str(path))
-    code2, rep2 = run(capsys, "tightb", str(path), "--force-oracle")
-    assert rep1["path"] != "oracle" and rep2["path"] == "oracle"
+    code2, rep2 = run(capsys, "oracle", "tightb", str(path))
+    assert rep1["path"] != "oracle" and rep2["nodes_explored"] is not None
     assert code1 == code2 and rep1["status"] == rep2["status"]
 
 
@@ -239,6 +240,27 @@ def test_reduction_under_oracle_budget(files, capsys, monkeypatch, command):
 def test_error_exit_code(files, capsys):
     code, rep = run(capsys, "analyze", str(files["dir"] / "missing.col"))
     assert code == 3 and rep["status"] == "error"
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["tightb", "{c3}", "--bogus"], "bchromatic: unrecognized arguments: --bogus"),
+    (["nosuch", "{c3}"], "bchromatic: argument cmd: invalid choice: 'nosuch'"),
+    (["tightb", "{c3}", "--budget", "abc"], "bchromatic tightb: argument --budget: invalid int"),
+    ([], "bchromatic: the following arguments are required: cmd"),
+])
+def test_usage_errors_are_one_json_error(files, capsys, argv, error):
+    code = main([a.replace("{c3}", files["c3"]) for a in argv])
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    assert code == 3 and rep["status"] == "error" and rep["error"].startswith(error)
+    assert err == ""
+
+
+def test_help_and_version_exit_zero(capsys):
+    for argv in (["--version"], ["tightb", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0 and capsys.readouterr().out
 
 
 def test_unwritable_out_reports_on_stdout(files, capsys):
@@ -503,8 +525,8 @@ def test_cached_parser_keeps_no_state_between_calls(files, capsys, monkeypatch):
     src = files["dir"] / "k4-3k2.col"
     src.write_text(write_dimacs(pattern_graph("K4+3P2")))
     env = dict(os.environ, PYTHONPATH=str(Path(bchromatic.__file__).parent.parent))
-    argvs = [["tightb", str(src), "--force-oracle"], ["tightb", str(src)],
-             ["oracle", "tightb", str(src), "--budget", "5"], ["oracle", "tightb", str(src)]]
+    argvs = [["tightb", str(src)], ["oracle", "tightb", str(src), "--budget", "5"],
+             ["oracle", "tightb", str(src)]]
     seen = []
     for argv in argvs:
         code, rep = run(capsys, *argv)
@@ -515,9 +537,8 @@ def test_cached_parser_keeps_no_state_between_calls(files, capsys, monkeypatch):
         expected.pop("timing_ms")
         assert (code, rep) == (fresh.returncode, expected)
         seen.append((rep.get("path"), rep["status"]))
-    # the options took effect: these four reports all differ
-    assert seen == [("oracle", "ok"), ("(P3+P1)-free", "ok"),
-                    (None, "inconclusive"), (None, "ok")]
+    # the options took effect: these three reports all differ
+    assert seen == [("(P3+P1)-free", "ok"), (None, "inconclusive"), (None, "ok")]
     shown = []
     monkeypatch.setattr(bchromatic.cli, "cmd_show", lambda args: shown.append(args.name) or 0)
     assert main(["show", "petersen"]) == 0 and shown == ["petersen"]

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bchromatic import fall
-from bchromatic.fall import fall_p3p1_free, fall_uniqueness_report
+from bchromatic.fall import fall_uniqueness_report
 from bchromatic.gadgets import crown_graph
-from bchromatic.graphs import (Graph, PreconditionError, complete_join,
-                               disjoint_union, is_fall_colouring)
+from bchromatic.graphs import (Graph, complete_join, disjoint_union,
+                               is_fall_colouring)
 from bchromatic.oracles import fall_spectrum
 from bchromatic.patterns import is_free, p3p1_decomposition, pattern_graph
 
@@ -27,9 +27,17 @@ def cocktail_party(n: int) -> Graph:
                                     for v in range(u + 1, 2 * n) if v != u + n])
 
 
+def in_class(g: Graph):
+    """The fall spectrum of a (P3+P1)-free graph, which the dispatcher must
+    report on the "(P3+P1)-free" path."""
+    rep = fall_uniqueness_report(g)
+    assert rep.path == "(P3+P1)-free", g.adj
+    return rep.spectrum
+
+
 def test_matched_pairs_monochromatic():
     g = cocktail_party(3)
-    res = fall_p3p1_free(g)
+    res = in_class(g)
     assert res.values == (3,)
     assert is_fall_colouring(g, res.witnesses[3])
     # each non-singleton class is one of the removed matching pairs
@@ -38,20 +46,21 @@ def test_matched_pairs_monochromatic():
 
 
 def test_k3_spectrum():
-    res = fall_p3p1_free(pattern_graph("K3"))
+    res = in_class(pattern_graph("K3"))
     assert res.values == (3,)
 
 
 def test_paw_empty():
     # the paw itself is (P3+P1)-free: the only 4-vertex graph that is not is
     # P3+P1 itself
-    res = fall_p3p1_free(pattern_graph("paw"))
+    res = in_class(pattern_graph("paw"))
     assert res.values == () and not res.witnesses
 
 
 def test_out_of_class_rejected():
-    with pytest.raises(PreconditionError):
-        fall_p3p1_free(crown_graph(3))  # C6 contains P3+P1
+    # C6 contains P3+P1, and is connected and co-connected with an
+    # independent triple: the split refuses it
+    assert fall_uniqueness_report(crown_graph(3)).path == "oracle"
 
 
 def _dominating_within(g, vs):
@@ -66,7 +75,7 @@ def test_case1_pairs_have_size_two():
     rng = random.Random(50)
     seen = 0
     for g in sample_in_class_p3p1(rng, 300, (6, 9)):
-        res = fall_p3p1_free(g)
+        res = in_class(g)
         if not res.values:
             continue
         colouring = res.witnesses[res.values[0]]
@@ -89,7 +98,7 @@ def test_case1_pairs_have_size_two():
 def test_colour_ranges_disjoint_across_cocomponents():
     rng = random.Random(51)
     for g in sample_in_class_p3p1(rng, 200, (5, 9)):
-        res = fall_p3p1_free(g)
+        res = in_class(g)
         if not res.values:
             continue
         colouring = res.witnesses[res.values[0]]
@@ -103,7 +112,7 @@ def test_colour_ranges_disjoint_across_cocomponents():
 def test_agreement_with_oracle_random():
     rng = random.Random(52)
     for g in sample_in_class_p3p1(rng, 300, (6, 9)):
-        res = fall_p3p1_free(g)
+        res = in_class(g)
         spectrum = fall_spectrum(g)
         assert res.values == spectrum.values, g.adj
         assert len(res.values) <= 1
@@ -114,8 +123,7 @@ def test_agreement_with_oracle_random():
 def test_fall_uniqueness_report():
     rep = fall_uniqueness_report(pattern_graph("C3"))
     assert rep.fall_unique and rep.spectrum.values == (3,) and rep.path == "(P3+P1)-free"
-    rep = fall_uniqueness_report(pattern_graph("C3"), force_oracle=True)
-    assert rep.fall_unique and rep.spectrum.values == (3,) and rep.path == "oracle"
+    assert fall_spectrum(pattern_graph("C3")).values == (3,)
     rep = fall_uniqueness_report(pattern_graph("paw"))
     assert not rep.fall_unique and rep.spectrum.values == ()
     # K_{4,4} minus a perfect matching: out of class, handled by the oracle;
@@ -136,7 +144,7 @@ def test_uniqueness_report_budget_error():
 def test_empty_cocomponent_after_dominating_removal():
     # complete graphs: every vertex dominating, zero pairs, n singleton classes
     g = pattern_graph("K4")
-    res = fall_p3p1_free(g)
+    res = in_class(g)
     assert res.values == (4,)
     # the first co-component is all dominating, so it holds no pair
     vs = p3p1_decomposition(g)[0]
@@ -194,6 +202,19 @@ def test_prime_piece_after_an_empty_spectrum_goes_to_the_oracle():
         rep = fall_uniqueness_report(g)
         assert rep.path == "oracle"
         assert rep.spectrum == fall_spectrum(g)
+
+
+def test_edgeless_pieces_need_no_matching(monkeypatch):
+    """The complement of kP2 is the join of k edgeless pairs: each pair is
+    one class, found without the matcher."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an edgeless piece reached the matcher")
+    monkeypatch.setattr(fall, "perfect_matching", refuse)
+    for k in (1, 2, 5):
+        g = pattern_graph(f"{k}P2").complement()
+        rep = fall_uniqueness_report(g)
+        assert rep.path == "(P3+P1)-free" and rep.spectrum.values == (k,)
+        assert is_fall_colouring(g, rep.spectrum.witnesses[k])
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)

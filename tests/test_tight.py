@@ -5,19 +5,21 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bchromatic.graphs import (Graph, analyze_tight, co_components,
-                               is_tight_b_colouring)
+                               disjoint_union, is_tight_b_colouring)
 from bchromatic.oracles import NotTightError, tight_b_exact
 from bchromatic.patterns import p3p1_decomposition, pattern_graph
 from bchromatic.tight import (PartialViolation, PreconditionError,
                               boundary_forcings, dense_partition,
                               extend_partial, is_b_precolouring_extension,
                               solve_tight, tight_b_2p2p1_free,
-                              tight_b_p3p1_free, validate_partial)
+                              validate_partial)
 
 from helpers import (all_graphs_up_to, check_dense_structure, footnote_graph,
-                     sample_tight_in_class, random_graph)
+                     random_clique_union, sample_tight_in_class, random_graph)
 
 P5 = pattern_graph("P5")  # tight, dense {1,2,3}, boundary {0,4}
 
@@ -101,7 +103,6 @@ def test_extend_partial_case1_no():
 def test_extend_partial_case2_greedy():
     """T2 empty and the whole boundary coloured: greedy completion, with an
     isolated leftover vertex picking the least free colour."""
-    from bchromatic.graphs import disjoint_union
     g = disjoint_union(P5, Graph.empty(1))
     res = validate_partial(g, {0, 4}, {1: 1, 2: 2, 3: 3, 0: 3, 4: 1})
     assert not isinstance(res, PartialViolation)
@@ -141,21 +142,27 @@ def test_solver_examples():
         assert c is not None and c.k == k
     c3 = tight_b_2p2p1_free(pattern_graph("C3"))
     assert c3 is not None and c3.k == 3
-    assert tight_b_p3p1_free(footnote_graph()) is None
-    c = tight_b_p3p1_free(pattern_graph("K4"))
-    assert c is not None and c.k == 4
+    res = solve_tight(footnote_graph())
+    assert (res.path, res.status, res.colouring) == ("(2P2+P1)-free", "absent", None)
+    res = solve_tight(pattern_graph("K4"))
+    assert res.path == "(2P2+P1)-free" and res.colouring.k == 4
 
 
 def test_solver_preconditions():
     with pytest.raises(PreconditionError):
         tight_b_2p2p1_free(pattern_graph("C4"))  # not tight
-    # P5 is tight but not (P3+P1)-free
     with pytest.raises(PreconditionError):
-        tight_b_p3p1_free(P5)
+        solve_tight(pattern_graph("C4"))  # NotTightError is a PreconditionError
+    # P5 is tight and has an induced P3+P1, but no induced 2P2+P1
+    assert solve_tight(P5).path == "(2P2+P1)-free"
+    # P5+P1 is tight and has both patterns: only the oracle answers it
+    p5p1 = disjoint_union(P5, Graph.empty(1))
+    assert solve_tight(p5p1).path == "oracle"
+    with pytest.raises(PreconditionError):
+        tight_b_2p2p1_free(p5p1)
 
 
 def test_clique_union_fixtures():
-    from bchromatic.graphs import disjoint_union
     res = solve_tight(pattern_graph("K3"))
     assert res.path == "(2P2+P1)-free" and res.colouring.colours == (1, 2, 3)
     # two equal largest cliques break tightness, so K3+K3 is out of scope
@@ -208,8 +215,28 @@ def test_tight_solves_pinned():
                                   "4660904040832c00cc6e133464a86420")
 
 
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.randoms(use_true_random=False),
+       st.sampled_from(["2P2+P1", "P3+P1", "clique union"]), st.integers(5, 10))
+def test_polynomial_paths_agree_with_the_oracle(rng, kind, n):
+    """A random tight member of either class never reaches the oracle, its
+    status is the oracle's, and its witness is a tight b-colouring.  The
+    (P3+P1)-free members sampled by class are nearly all (2P2+P1)-free, so
+    K_m plus smaller cliques, tight with dense set K_m, reaches the
+    (P3+P1)-free path whenever the rest holds an edge and one more clique."""
+    if kind == "clique union":
+        m = rng.randint(n // 2 + 1, n)
+        g = disjoint_union(pattern_graph(f"K{m}"), random_clique_union(rng, n - m))
+    else:
+        g = sample_tight_in_class(rng, 1, kind, (n, n))[0]
+    res = solve_tight(g)
+    assert res.path != "oracle"
+    assert res.status == tight_b_exact(g).status, g.adj
+    if res.colouring is not None:
+        assert is_tight_b_colouring(g, res.colouring)
+
+
 def test_clique_union_solver_against_oracle():
-    from bchromatic.graphs import disjoint_union
     rng = random.Random(40)
     checked = 0
     for _ in range(300):
@@ -239,9 +266,10 @@ def test_dense_structure_of_solver_outputs():
         if c is not None:
             check_dense_structure(g, c)
     for g in sample_tight_in_class(rng, 60, "P3+P1", (6, 9)):
-        c = tight_b_p3p1_free(g)
-        if c is not None:
-            check_dense_structure(g, c)
+        res = solve_tight(g)
+        assert res.path != "oracle"
+        if res.colouring is not None:
+            check_dense_structure(g, res.colouring)
 
 
 def test_t1_never_meets_t_prime():

@@ -1,0 +1,50 @@
+"""Compare the reports of two benchmark work trees.
+
+    python tools/compare_reports.py A/.bench_work B/.bench_work
+
+Every file under A is matched with the file at the same relative path under
+B.  ``.json`` files are compared as parsed JSON with the top-level
+``timing_ms`` removed; every other file is compared byte for byte.  Prints
+the common, differing and one-sided counts, then each differing and each
+one-sided path.  Exits 1 when a common file differs; files on one side only
+are listed but do not fail the check.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+
+def _content(path: Path):
+    data = path.read_bytes()
+    if path.suffix != ".json":
+        return data
+    try:
+        report = json.loads(data)
+    except ValueError:
+        return data
+    if isinstance(report, dict):
+        report.pop("timing_ms", None)
+    return report
+
+
+def main(a: str, b: str) -> int:
+    files = [{p.relative_to(root) for p in Path(root).rglob("*") if p.is_file()}
+             for root in (a, b)]
+    common = sorted(files[0] & files[1])
+    differ = [p for p in common if _content(Path(a, p)) != _content(Path(b, p))]
+    only = [(a, sorted(files[0] - files[1])), (b, sorted(files[1] - files[0]))]
+    print(f"common {len(common)}  differ {len(differ)}  "
+          f"only in A {len(only[0][1])}  only in B {len(only[1][1])}")
+    for p in differ:
+        print(f"differs: {p}")
+    for root, paths in only:
+        for p in paths:
+            print(f"only in {root}: {p}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3:
+        sys.exit(__doc__)
+    sys.exit(main(sys.argv[1], sys.argv[2]))
