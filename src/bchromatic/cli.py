@@ -25,7 +25,7 @@ from . import __version__
 from .fall import fall_uniqueness_report
 from .gadgets import REDUCTIONS, ReductionCertificate, family, verify_reduction
 from .graphs import (Colouring, Graph, analyze_tight, bits, co_components,
-                     is_tight_b_colouring)
+                     is_fall_colouring, is_tight_b_colouring)
 from .io import (graph_digest, load_formula, load_graph, write_dimacs)
 from .oracles import (BudgetExceededError, NotTightError, b_chromatic_number,
                       chromatic_number, fall_spectrum, min_maximal_matching_size,
@@ -124,6 +124,8 @@ def cmd_fall(args) -> int:
         "witnesses": {str(k): _witness(c) for k, c in sorted(res.spectrum.witnesses.items())},
         "timing_ms": round(1000 * (time.perf_counter() - t0), 3),
     })
+    if not all(w.k == k and is_fall_colouring(g, w) for k, w in res.spectrum.witnesses.items()):
+        raise ValueError(f"the {res.path} path returned an invalid fall colouring")
     return _emit(rep, args.out)
 
 

@@ -342,9 +342,15 @@ def is_b_colouring(g: Graph, c: Colouring) -> bool:
 
 def is_fall_colouring(g: Graph, c: Colouring) -> bool:
     """Every vertex adjacent to all other colours: classes are maximal
-    independent sets."""
-    _require_proper(g, c)
-    return all(is_b_chromatic_vertex(g, c, v) for v in range(g.n))
+    independent sets, so each class with its neighbours covers every
+    vertex."""
+    masks = c.class_masks()
+    if len(c.colours) != g.n or any(g.adj[v] & masks[col] for v, col in enumerate(c.colours)):
+        _require_proper(g, c)
+    reach = dict(masks)
+    for v, col in enumerate(c.colours):
+        reach[col] |= g.adj[v]
+    return set(reach.values()) <= {g.full_mask()}
 
 
 def is_tight_b_colouring(g: Graph, c: Colouring) -> bool:

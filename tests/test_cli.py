@@ -380,6 +380,23 @@ def test_hfree_rejects_an_invalid_witness(files, capsys, monkeypatch):
     assert code == 3 and rep["status"] == "error" and "invalid 2P2 witness" in rep["error"]
 
 
+@pytest.mark.parametrize("name, colours, error", [
+    ("c3", (1, 1, 2), "colouring is improper on edge (0, 1)"),
+    ("c4", (1, 2, 3, 4), "the modular path returned an invalid fall colouring"),
+])
+def test_fall_rejects_an_invalid_witness(files, capsys, monkeypatch, name, colours, error):
+    """An improper witness, and a proper one that is not a fall colouring,
+    each end in one JSON error with exit 3."""
+    import bchromatic.cli
+    from bchromatic.fall import FallUniqueness
+    from bchromatic.oracles import FallSpectrum
+    w = Colouring.from_values(colours)
+    res = FallUniqueness(True, FallSpectrum((w.k,), {w.k: w}), "modular")
+    monkeypatch.setattr(bchromatic.cli, "fall_uniqueness_report", lambda g, budget: res)
+    code, rep = run(capsys, "fall", files[name])
+    assert code == 3 and rep == {"schema": 1, "status": "error", "error": error}
+
+
 def test_one_in_three_over_the_fall_oracle_limit(files, capsys):
     """Nine variables give a 45-vertex instance, past the fall oracle: the
     backward step is skipped and verify is inconclusive."""

@@ -2,6 +2,7 @@
 reporting."""
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -9,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bchromatic import fall
+from bchromatic.cli import main
 from bchromatic.fall import fall_uniqueness_report
 from bchromatic.gadgets import crown_graph
 from bchromatic.graphs import (Graph, complete_join, disjoint_union,
                                is_fall_colouring)
+from bchromatic.io import write_dimacs
 from bchromatic.oracles import fall_spectrum
 from bchromatic.patterns import is_free, p3p1_decomposition, pattern_graph
 
@@ -230,6 +233,23 @@ def test_cographs_never_reach_the_oracle(rng, n):
         mp.setattr(fall, "fall_spectrum", refuse)
         rep = fall_uniqueness_report(g)
     assert rep.path in ("(P3+P1)-free", "modular")
+    assert (rep.path == "(P3+P1)-free") == (p3p1_decomposition(g) is not None), g.adj
     for k in rep.spectrum.values:
         assert rep.spectrum.witnesses[k].k == k
         assert is_fall_colouring(g, rep.spectrum.witnesses[k])
+
+
+def test_deep_cograph_needs_no_recursion(tmp_path):
+    """Alternately joining and uniting one vertex gives a cograph whose
+    split is 1,000 levels deep; ``fall`` answers it at the default
+    recursion limit.  The last union puts one vertex, which has one class,
+    beside a join, which needs two or more, so no fall colouring exists."""
+    n = 1001
+    g = Graph.empty(1)
+    for i in range(1, n):
+        g = (complete_join if i % 2 else disjoint_union)(g, Graph.empty(1))
+    path, out = tmp_path / "deep.col", tmp_path / "deep.json"
+    path.write_text(write_dimacs(g))
+    assert main(["fall", str(path), "--out", str(out)]) == 1
+    rep = json.loads(out.read_text())
+    assert rep["path"] == "modular" and rep["spectrum"] == []

@@ -7,7 +7,9 @@ B.  ``.json`` files are compared as parsed JSON with the top-level
 ``timing_ms`` removed; every other file is compared byte for byte.  Prints
 the common, differing and one-sided counts, then each differing and each
 one-sided path.  Exits 1 when a common file differs; files on one side only
-are listed but do not fail the check.
+are listed but do not fail the check.  Exits 2 when either argument is not a
+directory or the two trees have no file in common, since such a comparison
+checks nothing.
 """
 
 import json
@@ -29,9 +31,16 @@ def _content(path: Path):
 
 
 def main(a: str, b: str) -> int:
+    for root in (a, b):
+        if not Path(root).is_dir():
+            print(f"not a directory: {root}", file=sys.stderr)
+            return 2
     files = [{p.relative_to(root) for p in Path(root).rglob("*") if p.is_file()}
              for root in (a, b)]
     common = sorted(files[0] & files[1])
+    if not common:
+        print(f"no file in common: {a} and {b}", file=sys.stderr)
+        return 2
     differ = [p for p in common if _content(Path(a, p)) != _content(Path(b, p))]
     only = [(a, sorted(files[0] - files[1])), (b, sorted(files[1] - files[0]))]
     print(f"common {len(common)}  differ {len(differ)}  "
