@@ -285,23 +285,18 @@ def assignment_to_fall_colouring(inst: OneInThreeInstance,
         if sum(1 for x in cl if assignment[x]) != 1:
             raise GraphError("assignment is not 1-in-3 satisfying")
 
-    cliques: list[tuple[int, ...]] = []
+    cliques: list[int] = []  # the colour classes, as vertex masks
     for x in range(f.variables):
         if assignment[x]:
-            vs = [inst.c_vertex(j, pos) for j, cl in enumerate(f.clauses)
-                  for pos, y in enumerate(cl) if y == x]
-            cliques.append(tuple(vs))
+            cliques.append(sum(1 << inst.c_vertex(j, pos) for j, cl in enumerate(f.clauses)
+                               for pos, y in enumerate(cl) if y == x))
     for j, cl in enumerate(f.clauses):
         t = next(pos for pos, x in enumerate(cl) if assignment[x])
         pairs = {0: ((1, 1), (2, 2)), 1: ((1, 0), (2, 2)), 2: ((1, 0), (2, 1))}[t]
         for which, cpos in pairs:
-            cliques.append((inst.a_vertex(j, which), inst.c_vertex(j, cpos)))
+            cliques.append(1 << inst.a_vertex(j, which) | 1 << inst.c_vertex(j, cpos))
 
-    colour = [0] * inst.g.n
-    for i, clique in enumerate(cliques, start=1):
-        for v in clique:
-            colour[v] = i
-    result = Colouring.from_values(colour)
+    result = Colouring.from_class_masks(inst.g.n, cliques)
     if not is_fall_colouring(inst.gbar, result):
         raise AssertionError("forced pairing failed fall validation")
     return result

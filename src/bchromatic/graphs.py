@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class GraphError(ValueError):
@@ -284,35 +284,52 @@ class Colouring:
         return {c: tuple(vs) for c, vs in out.items()}
 
     def class_masks(self) -> dict[int, int]:
-        out = {c: 0 for c in range(1, self.k + 1)}
-        for v, c in enumerate(self.colours):
-            out[c] |= 1 << v
-        return out
+        return _class_masks(enumerate(self.colours), self.k)
 
 
-def proper_violation(g: Graph, c: Colouring) -> tuple[int, int] | None:
-    """Return a monochromatic edge, or None if the colouring is proper."""
-    if len(c.colours) != g.n:
-        raise ColouringError(f"colouring covers {len(c.colours)} vertices, graph has {g.n}")
-    for u, v in g.edges():
-        if c.colours[u] == c.colours[v]:
-            return (u, v)
+def _class_masks(coloured: Iterable[tuple[int, int]], k: int) -> dict[int, int]:
+    """{colour: bitmask of its vertices} for colours 1..k, from (vertex,
+    colour) pairs."""
+    out = dict.fromkeys(range(1, k + 1), 0)
+    for v, c in coloured:
+        out[c] |= 1 << v
+    return out
+
+
+def _monochromatic_edge(adj: Sequence[int], coloured: Iterable[tuple[int, int]],
+                        classes: Mapping[int, int]) -> tuple[int, int] | None:
+    """The least edge (u, v), u < v, whose ends share a class, or None;
+    ``coloured`` gives the (vertex, colour) pairs in increasing vertex order
+    and ``classes`` the mask of each colour."""
+    for u, c in coloured:
+        above = (adj[u] & classes[c]) >> (u + 1)
+        if above:
+            return (u, u + (above & -above).bit_length())
     return None
 
 
-def _require_proper(g: Graph, c: Colouring) -> None:
-    bad = proper_violation(g, c)
+def proper_violation(g: Graph, c: Colouring) -> tuple[int, int] | None:
+    """Return the least monochromatic edge, or None if the colouring is proper."""
+    if len(c.colours) != g.n:
+        raise ColouringError(f"colouring covers {len(c.colours)} vertices, graph has {g.n}")
+    return _monochromatic_edge(g.adj, enumerate(c.colours), c.class_masks())
+
+
+def _proper_classes(g: Graph, c: Colouring) -> dict[int, int]:
+    """The class masks of ``c``; raises ImproperColouringError on the least
+    monochromatic edge."""
+    if len(c.colours) != g.n:
+        raise ColouringError(f"colouring covers {len(c.colours)} vertices, graph has {g.n}")
+    masks = c.class_masks()
+    bad = _monochromatic_edge(g.adj, enumerate(c.colours), masks)
     if bad is not None:
         raise ImproperColouringError(bad)
-
-
-def _neighbour_colours(g: Graph, c: Colouring, v: int) -> set[int]:
-    return {c.colours[w] for w in bits(g.adj[v])}
+    return masks
 
 
 def is_b_chromatic_vertex(g: Graph, c: Colouring, v: int) -> bool:
-    need = set(range(1, c.k + 1)) - {c.colours[v]}
-    return need <= _neighbour_colours(g, c, v)
+    a, own = g.adj[v], c.colours[v]
+    return all(a & mask for col, mask in c.class_masks().items() if col != own)
 
 
 def _has_b_vertex_everywhere(g: Graph, class_masks: list[int]) -> bool:
@@ -336,18 +353,14 @@ def _has_b_vertex_everywhere(g: Graph, class_masks: list[int]) -> bool:
 
 def is_b_colouring(g: Graph, c: Colouring) -> bool:
     """Every colour class contains a vertex adjacent to all other colours."""
-    _require_proper(g, c)
-    return _has_b_vertex_everywhere(g, list(c.class_masks().values()))
+    return _has_b_vertex_everywhere(g, list(_proper_classes(g, c).values()))
 
 
 def is_fall_colouring(g: Graph, c: Colouring) -> bool:
     """Every vertex adjacent to all other colours: classes are maximal
     independent sets, so each class with its neighbours covers every
     vertex."""
-    masks = c.class_masks()
-    if len(c.colours) != g.n or any(g.adj[v] & masks[col] for v, col in enumerate(c.colours)):
-        _require_proper(g, c)
-    reach = dict(masks)
+    reach = _proper_classes(g, c)
     for v, col in enumerate(c.colours):
         reach[col] |= g.adj[v]
     return set(reach.values()) <= {g.full_mask()}
@@ -360,10 +373,8 @@ def is_tight_b_colouring(g: Graph, c: Colouring) -> bool:
 
 
 def is_maximal_independent_set(g: Graph, mask: int) -> bool:
+    """No edge inside ``mask``, and every vertex in it or next to it."""
+    seen = 0
     for v in bits(mask):
-        if g.adj[v] & mask:
-            return False
-    for v in range(g.n):
-        if not (mask >> v) & 1 and not (g.adj[v] & mask):
-            return False
-    return True
+        seen |= g.adj[v]
+    return not (seen & mask) and (seen | mask) == g.full_mask()

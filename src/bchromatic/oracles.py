@@ -131,7 +131,7 @@ def maximal_cliques(g: Graph) -> list[int]:
 
 def maximal_independent_sets(g: Graph) -> list[int]:
     """All maximal independent sets; each is also an independent dominating
-    set, which is checked during enumeration."""
+    set, which is checked once all are enumerated."""
     sets = maximal_cliques(g.complement())
     if not all(is_maximal_independent_set(g, m) for m in sets):
         raise AssertionError("an enumerated set is not a maximal independent set")
@@ -146,7 +146,8 @@ def _colour_search(adj: Sequence[int], k: int, order: list[int],
                    alive: Callable[[list[int], int], bool] | None = None) -> list[int] | None:
     """The first colouring, in lexicographic order along ``order``, that
     splits the vertices of ``order`` into exactly k independent classes
-    accepted by ``accept(classes)``; colours 1..k as a list indexed by vertex.
+    accepted by ``accept(classes)``, returned as its k class masks: the
+    i-th holds the vertices of colour i + 1.
 
     The search is canonical: each vertex joins an existing class it has no
     neighbour in, lowest first, or else opens the next class while fewer
@@ -162,7 +163,6 @@ def _colour_search(adj: Sequence[int], k: int, order: list[int],
     the first accepted leaf, and so the answer, is the same as without it.
     """
     n = len(order)
-    colour = [0] * len(adj)
     classes: list[int] = []
     left = [0] * (n + 1)  # left[i]: the vertices order[i:]
     for i in range(n - 1, -1, -1):
@@ -180,19 +180,17 @@ def _colour_search(adj: Sequence[int], k: int, order: list[int],
         for j in range(len(classes)):
             if not adj[v] & classes[j]:
                 classes[j] |= bit
-                colour[v] = j + 1
                 if rec(i + 1):
                     return True
                 classes[j] &= ~bit
         if len(classes) < k:
             classes.append(bit)
-            colour[v] = len(classes)
             if rec(i + 1):
                 return True
             classes.pop()
         return False
 
-    return colour if rec(0) else None
+    return classes if rec(0) else None
 
 
 # -- chromatic number --------------------------------------------------------
@@ -210,7 +208,7 @@ def chromatic_number(g: Graph, *, budget: int | None = None) -> tuple[int, Colou
     for k in range(max(low, clique_number(g)), g.n + 1):
         found = _colour_search(g.adj, k, order)
         if found is not None:
-            return k, Colouring.from_values(found)
+            return k, Colouring.from_class_masks(g.n, found)
     raise AssertionError("unreachable: n colours always suffice")
 
 
@@ -292,8 +290,8 @@ def _b_vertex_prune(g: Graph, k: int) -> Callable[[list[int], int], bool]:
 
 
 def _b_colouring(g: Graph, k: int, order: list[int]) -> list[int] | None:
-    """The first b-colouring with exactly k colours along ``order``, as a
-    colour list, or None."""
+    """The first b-colouring with exactly k colours along ``order``, as
+    class masks, or None."""
     return _colour_search(g.adj, k, order,
                           lambda classes: _has_b_vertex_everywhere(g, classes),
                           _b_vertex_prune(g, k))
@@ -308,7 +306,7 @@ def b_colouring_with(g: Graph, k: int, *, budget: int | None = None) -> Colourin
     if sum(1 for v in range(g.n) if g.degree(v) >= k - 1) < k:
         return None
     found = _b_colouring(g, k, list(range(g.n)))
-    return None if found is None else Colouring.from_values(found)
+    return None if found is None else Colouring.from_class_masks(g.n, found)
 
 
 def b_chromatic_number(g: Graph, *, budget: int | None = None) -> tuple[int, Colouring]:
@@ -553,10 +551,10 @@ def three_edge_colouring(g: Graph, *, budget: int | None = None) -> dict[tuple[i
         at_vertex[u] |= 1 << i
         at_vertex[v] |= 1 << i
     line = [(at_vertex[u] | at_vertex[v]) & ~(1 << i) for i, (u, v) in enumerate(edges)]
-    col = _colour_search(line, 3 if edges else 0, list(range(len(edges))))
-    if col is None:
+    classes = _colour_search(line, 3 if edges else 0, list(range(len(edges))))
+    if classes is None:
         return None
-    return {edges[i]: col[i] for i in range(len(edges))}
+    return dict(zip(edges, Colouring.from_class_masks(len(edges), classes).colours))
 
 
 # -- (3,3)-monotone formulas and 1-in-3 satisfiability -----------------------------

@@ -17,7 +17,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
 
-from .graphs import Graph, bits, disjoint_union
+from .graphs import Graph, bits
 
 
 class PatternError(ValueError):
@@ -35,7 +35,8 @@ def cycle_graph(r: int) -> Graph:
 
 
 def complete_graph(r: int) -> Graph:
-    return Graph.from_edges(r, [(i, j) for i in range(r) for j in range(i + 1, r)])
+    full = (1 << r) - 1
+    return Graph(r, tuple(full ^ 1 << v for v in range(r)))
 
 
 def star_graph(r: int) -> Graph:
@@ -70,7 +71,7 @@ def _atom_graph(token: str) -> Graph:
 @lru_cache(maxsize=None)
 def pattern_graph(name: str) -> Graph:
     """Expand a pattern name such as ``2P2+P1`` into a concrete graph."""
-    g = Graph.empty(0)
+    adj: list[int] = []  # each copy's masks shifted up by the vertices before it
     for term in name.replace(" ", "").split("+"):
         if not term:
             raise PatternError(f"empty term in pattern {name!r}")
@@ -78,10 +79,11 @@ def pattern_graph(name: str) -> Graph:
         mult = int(m.group(1)) if m.group(1) else 1
         atom = _atom_graph(m.group(2))
         for _ in range(mult):
-            g = disjoint_union(g, atom)
-    if not g.n:
+            shift = len(adj)
+            adj.extend(a << shift for a in atom.adj)
+    if not adj:
         raise PatternError(f"pattern {name!r} has no vertices")
-    return g
+    return Graph(len(adj), tuple(adj))
 
 
 # -- induced-subgraph search ------------------------------------------------

@@ -34,8 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import (Colouring, Graph, GraphError, PreconditionError,
-                     TightAnalysis, analyze_tight, bits)
+from .graphs import (Colouring, Graph, GraphError, PreconditionError, TightAnalysis,
+                     _class_masks, _monochromatic_edge, analyze_tight, bits, is_b_colouring)
 from .matching import perfect_matching
 from .oracles import NotTightError, tight_b_exact
 from .patterns import is_free, p3p1_decomposition
@@ -95,17 +95,17 @@ def _validate_partial(g: Graph, info: TightAnalysis, s_prime,
     t_cols = [colours[u] for u in sorted(info.dense)]
     if len(set(t_cols)) != m:
         return PartialViolation("t-distinct", "dense vertices must get pairwise distinct colours")
-    for u in sorted(domain):
-        for w in bits(g.adj[u]):
-            if w in domain and w > u and colours[u] == colours[w]:
-                return PartialViolation("properness", f"edge ({u}, {w}) is monochromatic")
+    classes = _class_masks(colours.items(), m)
+    bad = _monochromatic_edge(g.adj, sorted(colours.items()), classes)
+    if bad is not None:
+        return PartialViolation("properness", f"edge {bad} is monochromatic")
 
     shared = {colours[s] for s in s_prime}
     for u in sorted(info.dense):
         if colours[u] not in shared:
             continue
         for w in sorted(info.dense - {u}):
-            hits = sum(1 for x in bits(g.adj[w]) if x in domain and colours[x] == colours[u])
+            hits = (g.adj[w] & classes[colours[u]]).bit_count()
             if hits != 1:
                 return PartialViolation(
                     "unique-neighbour",
@@ -194,19 +194,14 @@ def is_b_precolouring_extension(p: PartialBColouring, c: Colouring) -> bool:
     """Check the two extension conditions against a full colouring: it must
     extend the partial colouring as a b-colouring, and no colour class with
     two or more boundary vertices may contain an uncoloured-boundary vertex."""
-    from .graphs import is_b_colouring
-
-    g = p.host
     if c.k != p.m or any(c.colours[v] != col for v, col in p.colours.items()):
         return False
-    if not is_b_colouring(g, c):
+    if not is_b_colouring(p.host, c):
         return False
-    s_rest = p.analysis.boundary - p.s_prime
-    for members in c.classes().values():
-        in_boundary = [v for v in members if v in p.analysis.boundary]
-        if len(in_boundary) >= 2 and any(v in s_rest for v in in_boundary):
-            return False
-    return True
+    boundary = sum(1 << v for v in p.analysis.boundary)
+    s_rest = boundary & ~sum(1 << v for v in p.s_prime)
+    return not any((members & boundary).bit_count() >= 2 and members & s_rest
+                   for members in c.class_masks().values())
 
 
 # -- (2P2+P1)-free tight graphs ---------------------------------------------

@@ -108,7 +108,9 @@ def test_criterion_2_tight_solver_equivalence():
     assert ok
 
 
-def _all_partials(g, info):
+def _all_partials(g, info, violations):
+    """Every partial b-colouring with T coloured 1..m in vertex order; each
+    violated clause and its detail go into the hash ``violations``."""
     dense = sorted(info.dense)
     t_col = {u: i + 1 for i, u in enumerate(dense)}
     boundary = sorted(info.boundary)
@@ -118,7 +120,9 @@ def _all_partials(g, info):
                 colours = dict(t_col)
                 colours.update(dict(zip(s_prime, cols)))
                 res = validate_partial(g, frozenset(s_prime), colours)
-                if not isinstance(res, PartialViolation):
+                if isinstance(res, PartialViolation):
+                    violations.update(repr((res.clause, res.detail)).encode())
+                else:
                     yield res
 
 
@@ -151,15 +155,18 @@ def _brute_has_extension(g, p):
 def test_criterion_3_extension_engine():
     """Exhaustive over tight graphs with at most 6 vertices plus a seeded
     random batch at n = 7: positive answers validate, negative answers are
-    confirmed by restricted enumeration."""
+    confirmed by restricted enumeration.  The rejected partial colourings
+    (clause, and the edge or neighbour count in its detail) match a
+    recorded digest."""
     rng = random.Random(303)
     bad = 0
     partials = 0
+    violations = hashlib.sha256()
     hosts = [g for g in all_graphs_up_to(6) if analyze_tight(g).is_tight]
     hosts += sample_tight(rng, 150, 7)
     for g in hosts:
         info = analyze_tight(g)
-        for p in _all_partials(g, info):
+        for p in _all_partials(g, info, violations):
             partials += 1
             c = extend_partial(p)
             if c is not None:
@@ -171,6 +178,8 @@ def test_criterion_3_extension_engine():
     ok = bad == 0 and partials > 3000
     _line(3, "extension engine", ok, f"{len(hosts)} tight hosts, {partials} partials, {bad} failures")
     assert ok
+    assert violations.hexdigest() == ("d7a312e3ad93db761d9fd2b6ac0bc978"
+                                      "7037ae8a46de2fc1944ca15724b040c1")
 
 
 def test_criterion_4_fall_solver_equivalence():

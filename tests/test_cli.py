@@ -373,6 +373,13 @@ def test_hfree_deep_pattern(files, capsys):
     assert rep["witness"] == list(range(1100))
 
 
+def test_hfree_pattern_of_many_copies(files, capsys):
+    """A pattern name of 100,000 copies expands in one pass, so the answer
+    comes at once."""
+    code, rep = run(capsys, "hfree", files["p5"], "--pattern", "100000P1")
+    assert code == 0 and rep["status"] == "ok" and rep["free"]
+
+
 def test_hfree_rejects_an_invalid_witness(files, capsys, monkeypatch):
     import bchromatic.cli
     monkeypatch.setattr(bchromatic.cli, "contains_induced", lambda g, h: (0, 1, 2, 3))

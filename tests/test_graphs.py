@@ -1,15 +1,16 @@
 """Core graph type, operators, m-degree analysis and colouring validators."""
 
 import random
+import re
 
 import pytest
 
-from bchromatic.graphs import (Colouring, Graph, GraphError,
+from bchromatic.graphs import (Colouring, ColouringError, Graph, GraphError,
                                ImproperColouringError, analyze_tight,
                                co_components, complete_join, disjoint_union,
-                               is_b_colouring, is_fall_colouring,
-                               is_tight_b_colouring, m_degree,
-                               proper_violation)
+                               is_b_chromatic_vertex, is_b_colouring, is_fall_colouring,
+                               is_maximal_independent_set, is_tight_b_colouring,
+                               m_degree, proper_violation)
 from bchromatic.gadgets import crown_graph, odd_crown_graph
 from bchromatic.patterns import pattern_graph
 
@@ -192,6 +193,60 @@ def test_improper_colouring_rejected_with_edge():
     with pytest.raises(ImproperColouringError) as err:
         is_b_colouring(g, Colouring.from_values([1, 1]))
     assert err.value.edge == (0, 1)
+
+
+def _random_colouring(rng, g):
+    """Colours 1..k: at random, or greedy in a random order (so proper)."""
+    if rng.random() < 0.5:
+        k = rng.randint(1, g.n)
+        values = [rng.randint(1, k) for _ in range(g.n)]
+    else:
+        values = [0] * g.n
+        for v in rng.sample(range(g.n), g.n):
+            taken = {values[w] for w in range(g.n) if g.has_edge(v, w)}
+            values[v] = rng.choice([c for c in range(1, g.n + 1) if c not in taken])
+    rename = {c: i for i, c in enumerate(sorted(set(values)), 1)}
+    return Colouring.from_values(rename[c] for c in values)
+
+
+def test_validators_match_their_definitions():
+    """Seeded random graphs with n <= 9 and colourings, proper or not: each
+    validator equals its definition in terms of vertex and colour sets, and
+    an improper colouring is reported on the first monochromatic edge of
+    ``g.edges()``."""
+    rng = random.Random(2022)
+    proper = improper = 0
+    for _ in range(2000):
+        g = random_graph(rng, rng.randint(1, 9), rng.random())
+        c = _random_colouring(rng, g)
+        col, k = c.colours, c.k
+        nbrs = [{w for w in range(g.n) if g.has_edge(v, w)} for v in range(g.n)]
+        b_vertex = [{col[w] for w in nbrs[v]} >= set(range(1, k + 1)) - {col[v]}
+                    for v in range(g.n)]
+        assert [is_b_chromatic_vertex(g, c, v) for v in range(g.n)] == b_vertex
+        bad = next(((u, v) for u, v in g.edges() if col[u] == col[v]), None)
+        assert proper_violation(g, c) == bad
+        for wrong in (col + (1,), col[:-1]):
+            for validator in (proper_violation, is_b_colouring, is_fall_colouring):
+                with pytest.raises(ColouringError, match="covers"):
+                    validator(g, Colouring(wrong, k))
+        if bad is None:
+            proper += 1
+            assert is_b_colouring(g, c) == all(
+                any(b_vertex[v] for v in range(g.n) if col[v] == i) for i in range(1, k + 1))
+            assert is_fall_colouring(g, c) == all(b_vertex)
+        else:
+            improper += 1
+            for validator in (is_b_colouring, is_fall_colouring):
+                with pytest.raises(ImproperColouringError, match=re.escape(f"on edge {bad}")) as err:
+                    validator(g, c)
+                assert err.value.edge == bad
+        mask = rng.getrandbits(g.n)
+        members = {v for v in range(g.n) if mask >> v & 1}
+        mis = (all(not nbrs[v] & members for v in members)
+               and all(nbrs[v] & members for v in range(g.n) if v not in members))
+        assert is_maximal_independent_set(g, mask) == mis
+    assert proper > 500 and improper > 500
 
 
 def test_tight_b_colouring_validator():
