@@ -8,7 +8,8 @@ error report with exit 3.  The only environment override is
 ``verify`` pass to every exponential oracle they run (for the 1-in-3 oracle
 it limits the formula's variables); unset, each oracle keeps its own limit.
 ``--budget`` is the node budget of the tight b-colouring search and keeps
-that oracle's default of 10^7 when omitted.
+that oracle's default of 10^7 when omitted.  Either budget must be a whole
+number >= 0; any other value is an error report that names it.
 """
 
 from __future__ import annotations
@@ -42,7 +43,11 @@ SEARCH_STATUS = {"found": "ok", "absent": "no", "inconclusive": "inconclusive"}
 def _oracle_budget() -> int | None:
     """``ORACLE_BUDGET`` as a vertex limit, or None for each oracle's own."""
     value = os.environ.get("ORACLE_BUDGET")
-    return int(value) if value else None
+    if not value:
+        return None
+    if not value.strip().isdecimal():
+        raise ValueError(f"ORACLE_BUDGET must be a whole number >= 0, got {value!r}")
+    return int(value)
 
 
 def _witness(c: Colouring | None):
@@ -322,6 +327,8 @@ def main(argv: list[str] | None = None) -> int:
     args = None
     try:
         args = build_parser().parse_args(argv)
+        if getattr(args, "budget", None) is not None and args.budget < 0:
+            raise ValueError(f"--budget must be a whole number >= 0, got {args.budget}")
         # looked up per call, not kept in the cached parser, so a cmd_*
         # function replaced after the first call is the one that runs
         return globals()[f"cmd_{args.cmd}"](args)

@@ -10,10 +10,13 @@ Colouring vocabulary used throughout the package:
 * a *colouring* maps each vertex to a colour in {1, ..., k} so that adjacent
   vertices differ, and every colour in the range is used;
 * a vertex is *b-chromatic* if it has a neighbour of every colour other than
-  its own;
-* a *b-colouring* has a b-chromatic vertex in every colour class;
-* a *fall colouring* has every vertex b-chromatic (equivalently: every colour
-  class is a maximal independent set);
+  its own.  With N(C) the vertices next to a class C, the b-chromatic
+  vertices are B = the intersection over all classes C of C | N(C): each
+  class holds the vertex or one of its neighbours;
+* a *b-colouring* has a b-chromatic vertex in every colour class (the
+  paper's condition (i): every class meets B);
+* a *fall colouring* has every vertex b-chromatic (condition (iii): B = V;
+  equivalently, every colour class is a maximal independent set);
 * the *m-degree* m(G) is the largest k such that at least k vertices have
   degree >= k-1; vertices of degree >= m(G)-1 are *dense*;
 * G is *tight* if it has exactly m(G) dense vertices, each of degree exactly
@@ -247,7 +250,8 @@ def analyze_tight(g: Graph) -> TightAnalysis:
 
 @dataclass(frozen=True)
 class Colouring:
-    """Total colouring with colours 1..k, every colour used.
+    """Total colouring with colours 1..k, every colour used, which the
+    constructor checks.
 
     Properness is relative to a graph and is checked by the validators, not
     by the constructor.
@@ -256,16 +260,15 @@ class Colouring:
     colours: tuple[int, ...]
     k: int
 
+    def __post_init__(self):
+        used = set(self.colours)
+        if used != set(range(1, self.k + 1)):
+            raise ColouringError(f"colours must be exactly 1..k, got {sorted(used)}")
+
     @classmethod
     def from_values(cls, values: Iterable[int]) -> "Colouring":
         cols = tuple(values)
-        if not cols:
-            return cls((), 0)
-        k = max(cols)
-        used = set(cols)
-        if min(cols) < 1 or used != set(range(1, k + 1)):
-            raise ColouringError(f"colours must be exactly 1..k, got {sorted(used)}")
-        return cls(cols, k)
+        return cls(cols, max(cols, default=0))
 
     @classmethod
     def from_class_masks(cls, n: int, masks: Iterable[int]) -> "Colouring":
@@ -327,43 +330,33 @@ def _proper_classes(g: Graph, c: Colouring) -> dict[int, int]:
     return masks
 
 
-def is_b_chromatic_vertex(g: Graph, c: Colouring, v: int) -> bool:
-    a, own = g.adj[v], c.colours[v]
-    return all(a & mask for col, mask in c.class_masks().items() if col != own)
-
-
-def _has_b_vertex_everywhere(g: Graph, class_masks: list[int]) -> bool:
-    """Every class has a member with a neighbour in each other class; the
-    b-colouring oracle calls this at every leaf of its search."""
-    k = len(class_masks)
-    for i, mask in enumerate(class_masks):
-        ok = False
+def _b_vertices(g: Graph, classes: Iterable[int]) -> int:
+    """The b-chromatic vertices of a colouring with these class masks, as
+    one mask: the vertices that every class holds or is next to."""
+    out = g.full_mask()
+    for mask in classes:
+        reach = mask
         for v in bits(mask):
-            seen = 0
-            for j, other in enumerate(class_masks):
-                if j != i and g.adj[v] & other:
-                    seen += 1
-            if seen == k - 1:
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
+            reach |= g.adj[v]
+        out &= reach
+    return out
+
+
+def is_b_chromatic_vertex(g: Graph, c: Colouring, v: int) -> bool:
+    return bool(_b_vertices(g, c.class_masks().values()) >> v & 1)
 
 
 def is_b_colouring(g: Graph, c: Colouring) -> bool:
     """Every colour class contains a vertex adjacent to all other colours."""
-    return _has_b_vertex_everywhere(g, list(_proper_classes(g, c).values()))
+    classes = _proper_classes(g, c).values()
+    b = _b_vertices(g, classes)
+    return all(mask & b for mask in classes)
 
 
 def is_fall_colouring(g: Graph, c: Colouring) -> bool:
     """Every vertex adjacent to all other colours: classes are maximal
-    independent sets, so each class with its neighbours covers every
-    vertex."""
-    reach = _proper_classes(g, c)
-    for v, col in enumerate(c.colours):
-        reach[col] |= g.adj[v]
-    return set(reach.values()) <= {g.full_mask()}
+    independent sets."""
+    return _b_vertices(g, _proper_classes(g, c).values()) == g.full_mask()
 
 
 def is_tight_b_colouring(g: Graph, c: Colouring) -> bool:

@@ -2,15 +2,17 @@
 
 Everything here is exhaustive search with pruning.  One canonical partition
 search, ``_colour_search``, finds the first colouring with exactly k
-colour classes that passes a leaf test; it serves the chromatic number
-(degree order, k from the clique number up), the b-chromatic number (every
-class needs a b-vertex) and 3-edge-colourings (3-colourings of the line
-graph, edges in index order).  An optional per-node test may cut only
-subtrees that hold no accepted leaf, so the first leaf, and with it every
-witness, is the same with or without it.  The b-colouring search passes
-one that cuts a node once some class can no longer get a b-vertex; the
-b-chromatic number refutes each k above it in order of decreasing degree
-and takes the witness from one search in index order.  One exact-cover
+colour classes that passes an optional node test; it serves the chromatic
+number (degree order, k from the clique number up, no test), the
+b-chromatic number and 3-edge-colourings (3-colourings of the line graph,
+edges in index order, no test).  The node test is asked at every node,
+leaves included, and may cut only subtrees that hold no leaf it accepts.
+The b-colouring search's test cuts a node once some class can no longer
+get a b-vertex; at a leaf, where every vertex is coloured, that is exact:
+it accepts the b-colourings and nothing else, so it is the search's only
+b-vertex test.  The b-chromatic number refutes each k above it in order
+of decreasing degree and takes the witness from one search in index
+order.  One exact-cover
 search, ``_exact_covers``, serves fall spectra (partitions of V into
 maximal independent sets) and 1-in-3 satisfiability (partitions of the
 clauses into the clause sets of the true variables).  The rest:
@@ -34,8 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
-from .graphs import (Colouring, Graph, GraphError, PreconditionError, _has_b_vertex_everywhere,
-                     analyze_tight, bits, is_maximal_independent_set, m_degree)
+from .graphs import (Colouring, Graph, GraphError, PreconditionError, analyze_tight, bits,
+                     is_maximal_independent_set, m_degree)
 from .matching import maximum_matching
 
 DEFAULT_NP_BUDGET = 16
@@ -142,25 +144,26 @@ def maximal_independent_sets(g: Graph) -> list[int]:
 
 
 def _colour_search(adj: Sequence[int], k: int, order: list[int],
-                   accept: Callable[[list[int]], bool] | None = None,
                    alive: Callable[[list[int], int], bool] | None = None) -> list[int] | None:
     """The first colouring, in lexicographic order along ``order``, that
     splits the vertices of ``order`` into exactly k independent classes
-    accepted by ``accept(classes)``, returned as its k class masks: the
+    and passes the node test ``alive``, returned as its k class masks: the
     i-th holds the vertices of colour i + 1.
 
     The search is canonical: each vertex joins an existing class it has no
     neighbour in, lowest first, or else opens the next class while fewer
     than k are open, and a subtree is cut when the open classes plus the
-    vertices left cannot reach k.  ``accept`` must not depend on the colour
-    names; then the first canonical leaf is the lexicographically first
-    accepted colouring, since renaming the colours of any other in order of
-    first appearance gives a smaller canonical one.
+    vertices left cannot reach k.
 
-    ``alive(classes, left)``, if given, is asked at every inner node, with
+    ``alive(classes, left)``, if given, is asked at every node, with
     ``left`` the bitmask of the vertices not yet coloured, and False cuts
-    the node.  It may cut only subtrees that hold no accepted leaf; then
-    the first accepted leaf, and so the answer, is the same as without it.
+    the node.  At a leaf ``left`` is 0, and the test's answer there decides
+    whether the colouring is accepted.  Above the leaves it may cut only
+    subtrees that hold no accepted leaf, so the first accepted leaf is the
+    answer.  If the test does not depend on the colour names, that leaf is
+    the lexicographically first accepted colouring, since renaming the
+    colours of any other in order of first appearance gives a smaller
+    canonical one.
     """
     n = len(order)
     classes: list[int] = []
@@ -171,10 +174,10 @@ def _colour_search(adj: Sequence[int], k: int, order: list[int],
     def rec(i: int) -> bool:
         if len(classes) + (n - i) < k:
             return False
-        if i == n:
-            return accept is None or accept(classes)
         if alive is not None and not alive(classes, left[i]):
             return False
+        if i == n:
+            return True
         v = order[i]
         bit = 1 << v
         for j in range(len(classes)):
@@ -216,7 +219,7 @@ def chromatic_number(g: Graph, *, budget: int | None = None) -> tuple[int, Colou
 
 
 def _b_vertex_prune(g: Graph, k: int) -> Callable[[list[int], int], bool]:
-    """The per-node test of a b-colouring search with k colours: False when
+    """The node test of a b-colouring search with k colours: False when
     the open classes can no longer all get a b-vertex.
 
     A b-vertex sees k-1 other colours, so its degree is at least k-1; call
@@ -229,6 +232,12 @@ def _b_vertex_prune(g: Graph, k: int) -> Callable[[list[int], int], bool]:
     for all the classes that need one.  Every b-colouring below the node
     takes the b-vertex of each class from its candidates, a different
     vertex for each class, so a failed test cuts no b-colouring.
+
+    The test is exact at a leaf, where all k classes are open and nothing
+    is uncoloured: no vertex is left for a class to wait for, so it holds
+    iff every class has a member that sees the k-1 other classes, which is
+    the definition of a b-colouring.  At the root it holds only if at
+    least k vertices are big, which rules out every k above m(G).
     """
     adj = g.adj
     need = k - 1
@@ -292,18 +301,13 @@ def _b_vertex_prune(g: Graph, k: int) -> Callable[[list[int], int], bool]:
 def _b_colouring(g: Graph, k: int, order: list[int]) -> list[int] | None:
     """The first b-colouring with exactly k colours along ``order``, as
     class masks, or None."""
-    return _colour_search(g.adj, k, order,
-                          lambda classes: _has_b_vertex_everywhere(g, classes),
-                          _b_vertex_prune(g, k))
+    return _colour_search(g.adj, k, order, _b_vertex_prune(g, k))
 
 
 def b_colouring_with(g: Graph, k: int, *, budget: int | None = None) -> Colouring | None:
     """A b-colouring using exactly k colours, or None."""
     _past_limit(g.n, budget, DEFAULT_NP_BUDGET, "b-colouring")
     if k < 1 or k > g.n:
-        return None
-    # k b-vertices of degree >= k-1 are needed, so k > m(G) has none
-    if sum(1 for v in range(g.n) if g.degree(v) >= k - 1) < k:
         return None
     found = _b_colouring(g, k, list(range(g.n)))
     return None if found is None else Colouring.from_class_masks(g.n, found)
@@ -316,8 +320,10 @@ def b_chromatic_number(g: Graph, *, budget: int | None = None) -> tuple[int, Col
     k runs down from the m-degree, searched in order of decreasing degree,
     which refutes a k above the b-chromatic number far sooner than index
     order.  The first k found is searched once more in index order for
-    the witness; the prune cuts no accepted leaf, so the witness is the
-    first b-colouring with k colours in lexicographic order."""
+    the witness.  Both searches take the b-vertex prune as their one node
+    test: it cuts no b-colouring, and at a leaf it accepts exactly the
+    b-colourings, so the witness is the first b-colouring with k colours
+    in lexicographic order."""
     if g.n == 0:
         return 0, Colouring((), 0)
     _past_limit(g.n, budget, DEFAULT_NP_BUDGET, "b-colouring")

@@ -136,9 +136,9 @@ def _brute_has_extension(g, p):
     def rec(i):
         if i == len(free):
             from bchromatic.graphs import Colouring, proper_violation
-            col = Colouring(tuple(base), m)
             if set(base) != set(range(1, m + 1)):
                 return False
+            col = Colouring(tuple(base), m)
             if proper_violation(g, col) is not None:
                 return False
             return is_b_precolouring_extension(p, col)

@@ -247,6 +247,9 @@ def test_error_exit_code(files, capsys):
     (["nosuch", "{c3}"], "bchromatic: argument cmd: invalid choice: 'nosuch'"),
     (["tightb", "{c3}", "--budget", "abc"], "bchromatic tightb: argument --budget: invalid int"),
     ([], "bchromatic: the following arguments are required: cmd"),
+    (["oracle", "tightb", "{c3}", "--budget", "-3"], "--budget must be a whole number >= 0, got -3"),
+    (["tightb", "{c3}", "--budget", "-1"], "--budget must be a whole number >= 0, got -1"),
+    (["verify", "edge3col", "{c3}", "--budget", "-2"], "--budget must be a whole number >= 0, got -2"),
 ])
 def test_usage_errors_are_one_json_error(files, capsys, argv, error):
     code = main([a.replace("{c3}", files["c3"]) for a in argv])
@@ -278,6 +281,13 @@ def test_oracle_budget_env(files, capsys, monkeypatch):
     monkeypatch.setenv("ORACLE_BUDGET", "25")
     code, rep = run(capsys, "oracle", "chromatic", str(path))
     assert code == 0 and rep["value"] == 1
+    for value in ("abc", "-1", "2.5"):
+        monkeypatch.setenv("ORACLE_BUDGET", value)
+        for argv in (["oracle", "chromatic", str(path)], ["fall", files["c3"]]):
+            code, rep = run(capsys, *argv)
+            assert code == 3 and rep == {
+                "schema": 1, "status": "error",
+                "error": f"ORACLE_BUDGET must be a whole number >= 0, got {value!r}"}
 
 
 def test_oracle_chromatic_past_the_default_limit(files, capsys):

@@ -6,7 +6,7 @@ import re
 import pytest
 
 from bchromatic.graphs import (Colouring, ColouringError, Graph, GraphError,
-                               ImproperColouringError, analyze_tight,
+                               ImproperColouringError, _b_vertices, analyze_tight,
                                co_components, complete_join, disjoint_union,
                                is_b_chromatic_vertex, is_b_colouring, is_fall_colouring,
                                is_maximal_independent_set, is_tight_b_colouring,
@@ -167,6 +167,15 @@ def test_colouring_construction():
     assert c.k == 2 and c.classes() == {1: (0, 2), 2: (1,)}
     with pytest.raises(Exception):
         Colouring.from_values([1, 3])  # colour 2 unused
+    # the constructor itself refuses a colour above k and an unused colour
+    for colours in ((1, 3), (1, 1)):
+        with pytest.raises(ColouringError, match=re.escape(
+                f"colours must be exactly 1..k, got {sorted(set(colours))}")):
+            Colouring(colours, 2)
+    with pytest.raises(ColouringError, match="exactly 1..k"):
+        Colouring.from_values([0, 1])
+    assert Colouring.from_values([2, 1, 2]) == Colouring((2, 1, 2), 2)
+    assert Colouring.from_values([]) == Colouring((), 0)
 
 
 def test_validators_on_figure_families():
@@ -224,11 +233,16 @@ def test_validators_match_their_definitions():
         b_vertex = [{col[w] for w in nbrs[v]} >= set(range(1, k + 1)) - {col[v]}
                     for v in range(g.n)]
         assert [is_b_chromatic_vertex(g, c, v) for v in range(g.n)] == b_vertex
+        assert _b_vertices(g, c.class_masks().values()) == sum(
+            1 << v for v in range(g.n) if b_vertex[v])
         bad = next(((u, v) for u, v in g.edges() if col[u] == col[v]), None)
         assert proper_violation(g, c) == bad
         for wrong in (col + (1,), col[:-1]):
+            # dropping the last vertex may leave a colour unused, which the
+            # constructor refuses before any validator runs
+            error = "covers" if set(wrong) == set(col) else "exactly 1..k"
             for validator in (proper_violation, is_b_colouring, is_fall_colouring):
-                with pytest.raises(ColouringError, match="covers"):
+                with pytest.raises(ColouringError, match=error):
                     validator(g, Colouring(wrong, k))
         if bad is None:
             proper += 1

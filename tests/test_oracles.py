@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from bchromatic.gadgets import (EDGE3COL_VARIANTS, FORMULA_N3_SATISFIABLE,
                                 edge3col_instance, odd_crown_graph,
                                 petersen_graph, prism_graph)
-from bchromatic.graphs import (Colouring, Graph, _has_b_vertex_everywhere, analyze_tight,
+from bchromatic.graphs import (Colouring, Graph, _b_vertices, analyze_tight,
                                is_b_chromatic_vertex, is_b_colouring, is_fall_colouring,
                                is_maximal_independent_set, is_tight_b_colouring,
                                m_degree, proper_violation)
@@ -121,20 +121,61 @@ def test_b_colouring_with_matches_the_unpruned_enumeration():
             assert b_colouring_with(g, k) == want, (g.adj, k)
 
 
+def _leaves(g, k, order):
+    """Every leaf of the canonical search with k classes along ``order``,
+    as its class masks: a node test that passes every inner node and
+    records and refuses every leaf."""
+    out = []
+
+    def record(classes, left):
+        if not left:
+            out.append(list(classes))
+        return bool(left)
+
+    assert _colour_search(g.adj, k, order, record) is None
+    return out
+
+
 def test_b_vertex_prune_keeps_the_first_leaf():
-    """With the b-vertex prune the search returns the very colouring (or
-    None) it returns without it, for every k, in index and in degree order:
-    the prune cuts only subtrees that hold no b-colouring."""
+    """The reference test runs only at the leaves and asks whether every
+    class meets the b-vertex mask of ``graphs``.  On every leaf the prune
+    answers as the reference does, so it accepts exactly the b-colourings;
+    it passes every node on the way to a b-colouring, so it cuts none; and
+    with the prune as its one test the search returns the colouring (or
+    None) the reference returns, for every k, in index and in degree
+    order."""
     rng = random.Random(5)
+    b_leaves = 0
     for _ in range(60):
         g = random_graph(rng, rng.randint(7, 9), rng.random())
-        accept = lambda classes, g=g: _has_b_vertex_everywhere(g, classes)  # noqa: E731
+
+        def reference(classes, left, g=g):
+            return bool(left) or all(c & _b_vertices(g, classes) for c in classes)
+
         by_degree = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
         for order in (list(range(g.n)), by_degree):
             for k in range(g.n + 2):
-                want = _colour_search(g.adj, k, order, accept)
-                got = _colour_search(g.adj, k, order, accept, _b_vertex_prune(g, k))
-                assert got == want, (g.adj, order, k)
+                prune = _b_vertex_prune(g, k)
+                assert (_colour_search(g.adj, k, order, prune)
+                        == _colour_search(g.adj, k, order, reference)), (g.adj, order, k)
+                if order is by_degree:
+                    continue
+                for classes in _leaves(g, k, order):
+                    is_b = reference(classes, 0)
+                    assert prune(classes, 0) == is_b, (g.adj, classes)
+                    if not is_b:
+                        continue
+                    b_leaves += 1
+                    left = g.full_mask()
+                    for v in order:
+                        # the node where v is next: each class cut to the
+                        # vertices coloured so far; the empty ones are not
+                        # open yet
+                        done = g.full_mask() & ~left
+                        open_ = [c & done for c in classes if c & done]
+                        assert prune(open_, left), (g.adj, classes, v)
+                        left &= ~(1 << v)
+    assert b_leaves > 1000
 
 
 def test_b_vertex_prune_waits_for_vertices_still_to_come():

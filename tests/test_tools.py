@@ -35,3 +35,45 @@ def test_compare_reports_exit_codes(tmp_path, capsys):
     assert compare_reports.main(a, apart) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [f"not a directory: {tmp_path / 'typo'}", f"no file in common: {a} and {apart}"]
+
+
+_COUNT_SPEC = importlib.util.spec_from_file_location(
+    "count_lines", Path(__file__).resolve().parents[1] / "tools" / "count_lines.py")
+count_lines = importlib.util.module_from_spec(_COUNT_SPEC)
+_COUNT_SPEC.loader.exec_module(count_lines)
+
+
+def test_count_lines_leaves_out_docstrings_comments_and_blanks(tmp_path, capsys):
+    """Module, class and function docstrings, one line or several,
+    comment-only lines and blank lines are not counted; a string that
+    opens no body and a line with a trailing comment are.  One line per
+    file, the total last."""
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text('''"""Module
+docstring."""
+
+# a comment
+import sys  # counted: code before the comment
+
+
+class A:
+    """Class docstring."""
+
+    x = 1
+
+
+def f():
+    """Function
+    docstring.
+    """
+        # an indented comment
+    s = """not a docstring"""
+    return s
+''')
+    (tmp_path / "b.py").write_text("x = 1\n\n\ny = 2\n")
+    (tmp_path / "notes.txt").write_text("not python\n")
+    assert count_lines.code_lines((tmp_path / "pkg" / "a.py").read_text()) == 6
+    assert count_lines.main(str(tmp_path)) == 8
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"     2 {tmp_path / 'b.py'}", f"     6 {tmp_path / 'pkg' / 'a.py'}",
+                   "     8 total"]
