@@ -10,12 +10,20 @@ it limits the formula's variables); unset, each oracle keeps its own limit.
 ``--budget`` is the node budget of the tight b-colouring search and keeps
 that oracle's default of 10^7 when omitted.  Either budget must be a whole
 number >= 0; any other value is an error report that names it.
+
+Each command imports only the modules it runs: its solver inside its
+``cmd_*`` function, and the tables behind ``kind`` and ``--problem`` only
+when a value is checked, so ``analyze`` loads ``graphs`` and ``io`` alone.
+Where no bytecode cache is written (a read-only install,
+``PYTHONDONTWRITEBYTECODE``), every fresh process compiles each module it
+imports from source, and for a small input that is most of a command's time.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import os
 import sys
@@ -23,16 +31,9 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .fall import fall_uniqueness_report
-from .gadgets import REDUCTIONS, ReductionCertificate, family, verify_reduction
 from .graphs import (Colouring, Graph, analyze_tight, bits, co_components,
                      is_fall_colouring, is_tight_b_colouring)
 from .io import (graph_digest, load_formula, load_graph, write_dimacs)
-from .oracles import (BudgetExceededError, NotTightError, b_chromatic_number,
-                      chromatic_number, fall_spectrum, min_maximal_matching_size,
-                      one_in_three_sat, three_edge_colouring, tight_b_exact)
-from .patterns import DICHOTOMIES, classify, contains_induced, pattern_graph
-from .tight import solve_tight
 
 # report status -> exit code
 EXIT_CODES = {"ok": 0, "no": 1, "inconclusive": 2, "error": 3}
@@ -90,6 +91,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_tightb(args) -> int:
+    from .tight import NotTightError, solve_tight
     g = load_graph(args.path)
     rep = _report("tightb", args.path, g)
     t0 = time.perf_counter()
@@ -114,6 +116,7 @@ def cmd_tightb(args) -> int:
 
 
 def cmd_fall(args) -> int:
+    from .fall import fall_uniqueness_report
     g = load_graph(args.path)
     rep = _report("fall", args.path, g)
     t0 = time.perf_counter()
@@ -135,6 +138,7 @@ def cmd_fall(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .patterns import classify
     h = load_graph(args.path)
     v = classify(h, args.problem)
     rep = _report("classify", args.path, h)
@@ -154,6 +158,7 @@ def _is_induced_embedding(g: Graph, h: Graph, witness: tuple[int, ...]) -> bool:
 
 
 def cmd_hfree(args) -> int:
+    from .patterns import contains_induced, pattern_graph
     g = load_graph(args.path)
     h = pattern_graph(args.pattern)
     witness = contains_induced(g, h)
@@ -166,6 +171,8 @@ def cmd_hfree(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracles import (b_chromatic_number, chromatic_number, fall_spectrum, tight_b_exact,
+                          min_maximal_matching_size, one_in_three_sat, three_edge_colouring)
     rep = {"schema": 1, "command": f"oracle {args.which}", "input": args.path}
     t0 = time.perf_counter()
     status, value, witness, nodes = "ok", None, None, None
@@ -208,10 +215,12 @@ def cmd_oracle(args) -> int:
     return _emit(rep, args.out)
 
 
-def _reduction(args, **kw) -> tuple[ReductionCertificate, dict, str]:
-    """The certificate of ``args.kind`` on the source at ``args.path``, the
-    report fields that ``gadget`` and ``verify`` share, and the instance as
-    DIMACS text, built once for the digest and the ``.col`` file."""
+def _reduction(args, **kw) -> tuple:
+    """The ``ReductionCertificate`` of ``args.kind`` on the source at
+    ``args.path``, the report fields that ``gadget`` and ``verify`` share,
+    and the instance as DIMACS text, built once for the digest and the
+    ``.col`` file."""
+    from .gadgets import REDUCTIONS, verify_reduction
     load, _ = REDUCTIONS[args.kind]
     cert = verify_reduction(args.kind, load(args.path), budget=_oracle_budget(), **kw)
     dimacs = write_dimacs(cert.instance)
@@ -249,9 +258,23 @@ def cmd_verify(args) -> int:
 
 
 def cmd_show(args) -> int:
+    from .gadgets import family
     g = family(args.name, args.n)
     sys.stdout.write(write_dimacs(g))
     return EXIT_CODES["ok"]
+
+
+class _Choices:
+    """The keys of a table in another module, imported only when argparse
+    checks or lists a value (``in`` iterates them).  Each argument that
+    takes them names an explicit metavar, which argparse would otherwise
+    build from the keys, so building the parser imports no solver."""
+
+    def __init__(self, module: str, table: str):
+        self.module, self.table = module, table
+
+    def __iter__(self):
+        return iter(getattr(importlib.import_module(f".{self.module}", __package__), self.table))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -289,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("classify", help="complexity verdict for H-free inputs, H given as a graph file")
     sp.add_argument("path")
-    sp.add_argument("--problem", choices=tuple(DICHOTOMIES), required=True)
+    sp.add_argument("--problem", choices=_Choices("patterns", "DICHOTOMIES"),
+                    metavar="PROBLEM", required=True, help="one of %(choices)s")
     common(sp)
 
     sp = sub.add_parser("hfree", help="induced-pattern check")
@@ -305,13 +329,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("gadget", help="emit a hardness instance as DIMACS plus a JSON certificate")
-    sp.add_argument("kind", choices=tuple(REDUCTIONS))
+    sp.add_argument("kind", choices=_Choices("gadgets", "REDUCTIONS"), metavar="kind",
+                    help="one of %(choices)s")
     sp.add_argument("path")
     sp.add_argument("--out", dest="out_prefix",
                     help="output prefix (writes PREFIX.col and PREFIX.json)")
 
     sp = sub.add_parser("verify", help="re-run structural checks and both oracle directions")
-    sp.add_argument("kind", choices=tuple(REDUCTIONS))
+    sp.add_argument("kind", choices=_Choices("gadgets", "REDUCTIONS"), metavar="kind",
+                    help="one of %(choices)s")
     sp.add_argument("path")
     sp.add_argument("--budget", type=int, help="backward-solve node budget")
     common(sp)
@@ -338,6 +364,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CODES["error"]
     except Exception as exc:
         # the types a user's input raises keep their bare message
+        from .oracles import BudgetExceededError
         known = isinstance(exc, (BudgetExceededError, ValueError, OSError))
         report = {"schema": 1, "status": "error",
                   "error": str(exc) if known else f"{type(exc).__name__}: {exc}"}

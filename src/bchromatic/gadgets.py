@@ -32,8 +32,8 @@ from typing import Any
 
 from .graphs import (Colouring, Graph, GraphError, analyze_tight,
                      disjoint_union, is_fall_colouring, is_tight_b_colouring)
-from .io import load_formula, load_graph
-from .oracles import (BudgetExceededError, Formula33, NotCubicError,
+from .io import Formula33, load_formula, load_graph
+from .oracles import (BudgetExceededError, NotCubicError,
                       clique_number, fall_spectrum,
                       min_maximal_matching_size, one_in_three_sat,
                       three_edge_colouring, tight_b_exact, b_chromatic_number)

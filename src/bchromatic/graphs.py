@@ -311,19 +311,22 @@ def _monochromatic_edge(adj: Sequence[int], coloured: Iterable[tuple[int, int]],
     return None
 
 
-def proper_violation(g: Graph, c: Colouring) -> tuple[int, int] | None:
-    """Return the least monochromatic edge, or None if the colouring is proper."""
+def _covering_classes(g: Graph, c: Colouring) -> dict[int, int]:
+    """The class masks of ``c``, which must colour every vertex of ``g``."""
     if len(c.colours) != g.n:
         raise ColouringError(f"colouring covers {len(c.colours)} vertices, graph has {g.n}")
-    return _monochromatic_edge(g.adj, enumerate(c.colours), c.class_masks())
+    return c.class_masks()
+
+
+def proper_violation(g: Graph, c: Colouring) -> tuple[int, int] | None:
+    """Return the least monochromatic edge, or None if the colouring is proper."""
+    return _monochromatic_edge(g.adj, enumerate(c.colours), _covering_classes(g, c))
 
 
 def _proper_classes(g: Graph, c: Colouring) -> dict[int, int]:
     """The class masks of ``c``; raises ImproperColouringError on the least
     monochromatic edge."""
-    if len(c.colours) != g.n:
-        raise ColouringError(f"colouring covers {len(c.colours)} vertices, graph has {g.n}")
-    masks = c.class_masks()
+    masks = _covering_classes(g, c)
     bad = _monochromatic_edge(g.adj, enumerate(c.colours), masks)
     if bad is not None:
         raise ImproperColouringError(bad)
@@ -343,7 +346,9 @@ def _b_vertices(g: Graph, classes: Iterable[int]) -> int:
 
 
 def is_b_chromatic_vertex(g: Graph, c: Colouring, v: int) -> bool:
-    return bool(_b_vertices(g, c.class_masks().values()) >> v & 1)
+    if v not in range(g.n):
+        raise IndexError(f"vertex {v} out of range for a graph on {g.n} vertices")
+    return bool(_b_vertices(g, _covering_classes(g, c).values()) >> v & 1)
 
 
 def is_b_colouring(g: Graph, c: Colouring) -> bool:

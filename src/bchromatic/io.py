@@ -1,5 +1,6 @@
 """File formats: DIMACS-style colouring graphs, plain edge lists, and the
-clause-line format for (3,3)-monotone formulas.
+clause-line format for (3,3)-monotone formulas, whose type ``Formula33``
+lives here beside its reader and writer.
 
 DIMACS graphs (`.col`) are 1-based on the wire and 0-based in memory:
 
@@ -27,11 +28,11 @@ clause per line as three 1-based variable indices.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
 
 from .graphs import Graph, GraphError
-from .oracles import Formula33
 
 
 # Largest vertex count a graph file may give, by a header or a vertex index:
@@ -48,6 +49,33 @@ class ParseError(ValueError):
     def __init__(self, line_no: int, message: str):
         self.line_no = line_no
         super().__init__(f"line {line_no}: {message}")
+
+
+class FormulaError(ValueError):
+    pass
+
+
+@dataclass(frozen=True)
+class Formula33:
+    """Positive 3-literal clauses, every variable in exactly three clauses,
+    and as many clauses as variables."""
+
+    variables: int
+    clauses: tuple[tuple[int, int, int], ...]
+
+    def __post_init__(self):
+        if len(self.clauses) != self.variables:
+            raise FormulaError("a (3,3)-formula has as many clauses as variables")
+        occ = [0] * self.variables
+        for cl in self.clauses:
+            if len(set(cl)) != 3:
+                raise FormulaError(f"clause {cl} must have three distinct variables")
+            for x in cl:
+                if not 0 <= x < self.variables:
+                    raise FormulaError(f"variable {x} out of range")
+                occ[x] += 1
+        if any(o != 3 for o in occ):
+            raise FormulaError("every variable must occur in exactly three clauses")
 
 
 def write_dimacs(g: Graph) -> str:

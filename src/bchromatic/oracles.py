@@ -38,6 +38,7 @@ from typing import Callable, Iterator, Sequence
 
 from .graphs import (Colouring, Graph, GraphError, PreconditionError, analyze_tight, bits,
                      is_maximal_independent_set, m_degree)
+from .io import Formula33, FormulaError  # noqa: F401  (FormulaError kept importable here)
 from .matching import maximum_matching
 
 DEFAULT_NP_BUDGET = 16
@@ -73,10 +74,6 @@ class NotTightError(PreconditionError):
 
 
 class NotCubicError(GraphError):
-    pass
-
-
-class FormulaError(ValueError):
     pass
 
 
@@ -307,7 +304,7 @@ def _b_colouring(g: Graph, k: int, order: list[int]) -> list[int] | None:
 def b_colouring_with(g: Graph, k: int, *, budget: int | None = None) -> Colouring | None:
     """A b-colouring using exactly k colours, or None."""
     _past_limit(g.n, budget, DEFAULT_NP_BUDGET, "b-colouring")
-    if k < 1 or k > g.n:
+    if not 0 <= k <= g.n:
         return None
     found = _b_colouring(g, k, list(range(g.n)))
     return None if found is None else Colouring.from_class_masks(g.n, found)
@@ -323,12 +320,10 @@ def b_chromatic_number(g: Graph, *, budget: int | None = None) -> tuple[int, Col
     the witness.  Both searches take the b-vertex prune as their one node
     test: it cuts no b-colouring, and at a leaf it accepts exactly the
     b-colourings, so the witness is the first b-colouring with k colours
-    in lexicographic order."""
-    if g.n == 0:
-        return 0, Colouring((), 0)
+    in lexicographic order.  k = 0 is reached only on the empty graph."""
     _past_limit(g.n, budget, DEFAULT_NP_BUDGET, "b-colouring")
     by_degree = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    for k in range(m_degree(g), 0, -1):
+    for k in range(m_degree(g), -1, -1):
         if _b_colouring(g, k, by_degree) is not None:
             return k, b_colouring_with(g, k, budget=budget)
     raise AssertionError("unreachable: every graph has a b-colouring")
@@ -564,29 +559,6 @@ def three_edge_colouring(g: Graph, *, budget: int | None = None) -> dict[tuple[i
 
 
 # -- (3,3)-monotone formulas and 1-in-3 satisfiability -----------------------------
-
-
-@dataclass(frozen=True)
-class Formula33:
-    """Positive 3-literal clauses, every variable in exactly three clauses,
-    and as many clauses as variables."""
-
-    variables: int
-    clauses: tuple[tuple[int, int, int], ...]
-
-    def __post_init__(self):
-        if len(self.clauses) != self.variables:
-            raise FormulaError("a (3,3)-formula has as many clauses as variables")
-        occ = [0] * self.variables
-        for cl in self.clauses:
-            if len(set(cl)) != 3:
-                raise FormulaError(f"clause {cl} must have three distinct variables")
-            for x in cl:
-                if not 0 <= x < self.variables:
-                    raise FormulaError(f"variable {x} out of range")
-                occ[x] += 1
-        if any(o != 3 for o in occ):
-            raise FormulaError("every variable must occur in exactly three clauses")
 
 
 def one_in_three_sat(f: Formula33, *, budget: int | None = None) -> tuple[bool, ...] | None:

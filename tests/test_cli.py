@@ -250,6 +250,10 @@ def test_error_exit_code(files, capsys):
     (["oracle", "tightb", "{c3}", "--budget", "-3"], "--budget must be a whole number >= 0, got -3"),
     (["tightb", "{c3}", "--budget", "-1"], "--budget must be a whole number >= 0, got -1"),
     (["verify", "edge3col", "{c3}", "--budget", "-2"], "--budget must be a whole number >= 0, got -2"),
+    (["verify", "nosuch", "{c3}"], "bchromatic verify: argument kind: invalid choice: 'nosuch'"),
+    (["gadget", "nosuch", "{c3}"], "bchromatic gadget: argument kind: invalid choice: 'nosuch'"),
+    (["classify", "{c3}", "--problem", "zzz"],
+     "bchromatic classify: argument --problem: invalid choice: 'zzz'"),
 ])
 def test_usage_errors_are_one_json_error(files, capsys, argv, error):
     code = main([a.replace("{c3}", files["c3"]) for a in argv])
@@ -260,7 +264,7 @@ def test_usage_errors_are_one_json_error(files, capsys, argv, error):
 
 
 def test_help_and_version_exit_zero(capsys):
-    for argv in (["--version"], ["tightb", "--help"]):
+    for argv in (["--version"], ["tightb", "--help"], ["verify", "--help"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 0 and capsys.readouterr().out
@@ -391,8 +395,8 @@ def test_hfree_pattern_of_many_copies(files, capsys):
 
 
 def test_hfree_rejects_an_invalid_witness(files, capsys, monkeypatch):
-    import bchromatic.cli
-    monkeypatch.setattr(bchromatic.cli, "contains_induced", lambda g, h: (0, 1, 2, 3))
+    import bchromatic.patterns
+    monkeypatch.setattr(bchromatic.patterns, "contains_induced", lambda g, h: (0, 1, 2, 3))
     code, rep = run(capsys, "hfree", files["p5"], "--pattern", "2P2")
     assert code == 3 and rep["status"] == "error" and "invalid 2P2 witness" in rep["error"]
 
@@ -404,14 +408,48 @@ def test_hfree_rejects_an_invalid_witness(files, capsys, monkeypatch):
 def test_fall_rejects_an_invalid_witness(files, capsys, monkeypatch, name, colours, error):
     """An improper witness, and a proper one that is not a fall colouring,
     each end in one JSON error with exit 3."""
-    import bchromatic.cli
+    import bchromatic.fall
     from bchromatic.fall import FallUniqueness
     from bchromatic.oracles import FallSpectrum
     w = Colouring.from_values(colours)
     res = FallUniqueness(True, FallSpectrum((w.k,), {w.k: w}), "modular")
-    monkeypatch.setattr(bchromatic.cli, "fall_uniqueness_report", lambda g, budget: res)
+    monkeypatch.setattr(bchromatic.fall, "fall_uniqueness_report", lambda g, budget: res)
     code, rep = run(capsys, "fall", files[name])
     assert code == 3 and rep == {"schema": 1, "status": "error", "error": error}
+
+
+SOLVERS = {"oracles", "matching", "patterns", "tight", "fall", "gadgets"}
+
+
+@pytest.mark.parametrize("argv, loaded, absent", [
+    (["analyze", "{c3}"], {"cli", "graphs", "io"}, SOLVERS),
+    (["hfree", "{c3}", "--pattern", "P3"], {"cli", "graphs", "io", "patterns"},
+     SOLVERS - {"patterns"}),
+    (["classify", "{c3}", "--problem", "fall"], {"cli", "graphs", "io", "patterns"},
+     SOLVERS - {"patterns"}),
+    (["tightb", "{c3}"], {"tight"}, {"gadgets", "fall"}),
+    (["fall", "{c3}"], {"fall"}, {"gadgets", "tight"}),
+    (["show", "petersen"], {"gadgets"}, {"tight", "fall"}),
+], ids=["analyze", "hfree", "classify", "tightb", "fall", "show"])
+def test_each_command_imports_only_what_it_runs(files, argv, loaded, absent):
+    """A fresh process running one command loads the package modules that
+    the command's work runs, and none of ``absent``."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import bchromatic
+    probe = ("import sys, bchromatic.cli; bchromatic.cli.main(sys.argv[1:]); "
+             "print(*sorted(m for m in sys.modules if m.startswith('bchromatic.')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(bchromatic.__file__).parent.parent))
+    out = files["dir"] / "report.json"
+    extra = [] if argv[0] == "show" else ["--out", str(out)]
+    proc = subprocess.run([sys.executable, "-c", probe,
+                           *[a.replace("{c3}", files["c3"]) for a in argv], *extra],
+                          capture_output=True, text=True, env=env, check=True)
+    modules = {m.removeprefix("bchromatic.") for m in proc.stdout.splitlines()[-1].split()}
+    assert loaded <= modules and not modules & absent, sorted(modules)
 
 
 def test_one_in_three_over_the_fall_oracle_limit(files, capsys):

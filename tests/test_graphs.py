@@ -218,6 +218,13 @@ def _random_colouring(rng, g):
     return Colouring.from_values(rename[c] for c in values)
 
 
+@pytest.mark.parametrize("v", [-1, 3, 4])
+def test_b_chromatic_vertex_out_of_range(v):
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    with pytest.raises(IndexError, match=f"vertex {v} out of range"):
+        is_b_chromatic_vertex(g, Colouring.from_values((1, 2, 1)), v)
+
+
 def test_validators_match_their_definitions():
     """Seeded random graphs with n <= 9 and colourings, proper or not: each
     validator equals its definition in terms of vertex and colour sets, and
@@ -241,7 +248,8 @@ def test_validators_match_their_definitions():
             # dropping the last vertex may leave a colour unused, which the
             # constructor refuses before any validator runs
             error = "covers" if set(wrong) == set(col) else "exactly 1..k"
-            for validator in (proper_violation, is_b_colouring, is_fall_colouring):
+            for validator in (proper_violation, is_b_colouring, is_fall_colouring,
+                              lambda g, c: is_b_chromatic_vertex(g, c, 0)):
                 with pytest.raises(ColouringError, match=error):
                     validator(g, Colouring(wrong, k))
         if bad is None:

@@ -103,6 +103,17 @@ def test_b_chromatic_examples():
     assert b_colouring_with(pattern_graph("C4"), 3) is None
 
 
+@pytest.mark.parametrize("g", [Graph.empty(0), Graph.empty(1), pattern_graph("P4"),
+                               pattern_graph("C5"), odd_crown_graph(3), petersen_graph()])
+def test_b_chromatic_witness_is_b_colouring_with(g):
+    """The witness of b(G) is ``b_colouring_with(g, b)``, on the empty graph
+    too, where k = 0 is the one k below 1 that has a b-colouring."""
+    b, w = b_chromatic_number(g)
+    assert w == b_colouring_with(g, b) and w.k == b
+    assert b_colouring_with(g, -1) is None
+    assert (b_colouring_with(g, 0) is None) == (g.n > 0)
+
+
 def test_b_colouring_with_matches_the_unpruned_enumeration():
     """The witness for every k, 0 and n+1 included, is the first partition
     into k independent classes, in canonical enumeration order, whose every
