@@ -91,7 +91,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_tightb(args) -> int:
-    from .tight import NotTightError, solve_tight
+    from .oracles import NotTightError
+    from .tight import solve_tight
     g = load_graph(args.path)
     rep = _report("tightb", args.path, g)
     t0 = time.perf_counter()

@@ -68,7 +68,7 @@ def _split(g: Graph) -> tuple[FallSpectrum, str] | None:
             vs = list(bits(mask))
             matching = perfect_matching(g.subgraph(vs).complement())
             kind = "pairs"
-            sub = [] if matching is None else [1 << vs[a] | 1 << vs[b] for a, b in matching.edges]
+            sub = [] if matching is None else [1 << vs[a] | 1 << vs[b] for a, b in matching]
         elif len(parts := g.component_masks(mask)) > 1:
             kind = "union"
         else:

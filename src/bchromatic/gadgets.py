@@ -33,8 +33,7 @@ from typing import Any
 from .graphs import (Colouring, Graph, GraphError, analyze_tight,
                      disjoint_union, is_fall_colouring, is_tight_b_colouring)
 from .io import Formula33, load_formula, load_graph
-from .oracles import (BudgetExceededError, NotCubicError,
-                      clique_number, fall_spectrum,
+from .oracles import (BudgetExceededError, _require_cubic, clique_number, fall_spectrum,
                       min_maximal_matching_size, one_in_three_sat,
                       three_edge_colouring, tight_b_exact, b_chromatic_number)
 from .patterns import is_free, pattern_graph
@@ -100,7 +99,6 @@ def family(name: str, n: int = 0) -> Graph:
 
 @dataclass(frozen=True)
 class CobipartiteInstance:
-    source: Graph
     bipartite_union: Graph  # the union H of the per-edge gadgets
     graph: Graph            # complement of H: the actual hardness instance
 
@@ -122,7 +120,7 @@ def cobipartite_hardness_instance(g: Graph) -> CobipartiteInstance:
                   (xu[1], xv[2]), (xv[1], xu[2]),
                   (xu[2], xv[3]), (xv[2], xu[3])]
     h = Graph.from_edges(nxt, edges)
-    return CobipartiteInstance(g, h, h.complement())
+    return CobipartiteInstance(h, h.complement())
 
 
 # -- edge-colouring hardness instances -------------------------------------------
@@ -148,11 +146,6 @@ class EdgeColouringInstance:
     def advertised_colours(self) -> int:
         n, m = self.source.n, len(self.edge_list)
         return m + n + 4 if self.variant == "edge3col-2p3" else n + 3
-
-
-def _require_cubic(g: Graph) -> None:
-    if any(g.degree(v) != 3 for v in range(g.n)):
-        raise NotCubicError("edge-colouring reductions need a cubic input")
 
 
 def edge3col_instance(g: Graph, variant: str = "edge3col") -> EdgeColouringInstance:
@@ -335,7 +328,6 @@ def fall_gadget_union(g: Graph, kind: str) -> Graph:
 
 @dataclass
 class ReductionCertificate:
-    kind: str
     instance: Graph
     structural_checks: list[tuple[str, bool]]
     forward_witness: Colouring | None = None
@@ -412,7 +404,7 @@ def _certify_cobipartite(kind: str, source: Graph, budget: int | None,
               ("gadget union is C4-free", is_free(inst.bipartite_union, "C4")),
               ("instance is 3P1-free", is_free(inst.graph, "3P1")),
               ("instance is 2P2-free", is_free(inst.graph, "2P2"))]
-    cert = ReductionCertificate(kind, inst.graph, checks)
+    cert = ReductionCertificate(inst.graph, checks)
     if backward:
         # no asserted formula relates these two numbers; they are recorded only
         with suppress(BudgetExceededError):
@@ -427,7 +419,7 @@ def _certify_cobipartite(kind: str, source: Graph, budget: int | None,
 def _certify_edge3col(kind: str, source: Graph, budget: int | None,
                       node_budget: int | None, backward: bool) -> ReductionCertificate:
     inst = edge3col_instance(source, kind)
-    cert = ReductionCertificate(kind, inst.graph, _edge3col_structural(inst))
+    cert = ReductionCertificate(inst.graph, _edge3col_structural(inst))
     forward_yes = _forward(
         cert, lambda: three_edge_colouring(source, budget=budget),
         lambda ec: edge_colouring_to_tight_bcolouring(inst, ec),
@@ -449,7 +441,7 @@ def _certify_one_in_three(kind: str, source: Formula33, budget: int | None,
               ("clique number 3", clique_number(inst.g) == 3)]
     checks += [(f"complement is {name}-free", is_free(inst.gbar, name))
                for name in ("C5", "2P2", "P2+2P1", "4P1")]
-    cert = ReductionCertificate(kind, inst.gbar, checks)
+    cert = ReductionCertificate(inst.gbar, checks)
     forward_yes = _forward(
         cert, lambda: one_in_three_sat(source, budget=budget),
         lambda assignment: assignment_to_fall_colouring(inst, assignment),

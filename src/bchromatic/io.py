@@ -51,6 +51,13 @@ class ParseError(ValueError):
         super().__init__(f"line {line_no}: {message}")
 
 
+def _number(token: str, line_no: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(line_no, f"malformed number {token!r}") from None
+
+
 class FormulaError(ValueError):
     pass
 
@@ -106,8 +113,8 @@ def _parse_plain_dimacs(text: str) -> Graph | None:
     if not (len(fields) == 4 and fields[0] == "p" and fields[1] in _DIMACS_FORMATS
             and fields[2].isdecimal() and fields[3].isdecimal()):
         return None
-    n = int(fields[2])
-    if n > MAX_VERTICES:
+    # a count longer than the limit's digits is past it, and int() of it might fail
+    if len(fields[2]) > len(str(MAX_VERTICES)) or (n := int(fields[2])) > MAX_VERTICES:
         return None
     if not body:
         return Graph.empty(n)
@@ -163,7 +170,7 @@ def _parse_dimacs_lines(text: str) -> Graph:
             u, v = lookup(a), lookup(b)
             if u is None or v is None:
                 # first sight of a token: int() also takes spellings like 01 and +1
-                u, v = int(a) - 1, int(b) - 1
+                u, v = _number(a, i) - 1, _number(b, i) - 1
                 if not (0 <= u < n and 0 <= v < n):
                     raise ParseError(i, f"edge ({a}, {b}) out of range")
                 index[a], index[b] = u, v
@@ -178,7 +185,7 @@ def _parse_dimacs_lines(text: str) -> Graph:
                 raise ParseError(i, "duplicate problem line")
             if len(parts) != 4 or parts[1] not in _DIMACS_FORMATS:
                 raise ParseError(i, f"malformed problem line {raw.strip()!r}")
-            n = int(parts[2])
+            n = _number(parts[2], i)
             if n > MAX_VERTICES:
                 raise ParseError(i, f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
             adj = [0] * n
@@ -210,13 +217,13 @@ def parse_edge_list(text: str) -> Graph:
         if parts[0] == "n":
             if len(parts) != 2:
                 raise ParseError(i, "malformed vertex-count line")
-            n, explicit = int(parts[1]), True
+            n, explicit = _number(parts[1], i), True
             if n > MAX_VERTICES:
                 raise ParseError(i, f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
             continue
         if len(parts) != 2:
             raise ParseError(i, f"expected 'u v', got {line!r}")
-        u, v = int(parts[0]), int(parts[1])
+        u, v = _number(parts[0], i), _number(parts[1], i)
         if u == v:
             raise ParseError(i, "self-loop")
         if u < 0 or v < 0:
@@ -253,13 +260,13 @@ def parse_formula(text: str) -> Formula33:
                 raise ParseError(i, "duplicate problem line")
             if len(parts) != 3 or parts[1] != "13sat":
                 raise ParseError(i, f"malformed problem line {line!r}")
-            n = int(parts[2])
+            n = _number(parts[2], i)
             continue
         if n is None:
             raise ParseError(i, "clause before problem line")
         if len(parts) != 3:
             raise ParseError(i, "a clause needs exactly three variables")
-        x, y, z = (int(p) - 1 for p in parts)
+        x, y, z = (_number(p, i) - 1 for p in parts)
         if not all(0 <= w < n for w in (x, y, z)):
             raise ParseError(i, "variable index out of range")
         clauses.append((x, y, z))

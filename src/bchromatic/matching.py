@@ -3,40 +3,28 @@
 One matcher serves every caller: the precolouring-extension test asks it
 for a perfect matching of its (bipartite) auxiliary graph, and the fall
 solver and the chromatic and matching oracles need matchings in complements
-and vertex covers, which are usually not bipartite.  It scans vertices in index order so results are
-reproducible.
+and vertex covers, which are usually not bipartite.  It scans vertices in
+index order so results are reproducible.  A matching is the frozenset of
+its pairs (u, v), u < v.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .graphs import Graph, GraphError, bits
 
-
-@dataclass(frozen=True)
-class Matching:
-    """Set of pairwise disjoint edges, each an edge of the host graph."""
-
-    edges: frozenset[tuple[int, int]]
-
-    def __len__(self) -> int:
-        return len(self.edges)
+Matching = frozenset[tuple[int, int]]
 
 
 def check_matching(g: Graph, m: Matching) -> None:
     seen: set[int] = set()
-    for u, v in m.edges:
+    for u, v in m:
         if not g.has_edge(u, v):
             raise GraphError(f"matching pair ({u}, {v}) is not an edge")
         if u in seen or v in seen:
             raise GraphError(f"matching pair ({u}, {v}) shares a vertex")
         seen.update((u, v))
-
-
-def _matching_from_partner(match: list[int]) -> Matching:
-    return Matching(frozenset((u, match[u]) for u in range(len(match)) if match[u] > u))
 
 
 def maximum_matching(g: Graph) -> Matching:
@@ -125,7 +113,7 @@ def maximum_matching(g: Graph) -> Matching:
             match[pv] = to
             to = ppv
 
-    return _matching_from_partner(match)
+    return frozenset((u, match[u]) for u in range(n) if match[u] > u)
 
 
 def perfect_matching(g: Graph) -> Matching | None:

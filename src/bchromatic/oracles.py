@@ -36,8 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
-from .graphs import (Colouring, Graph, GraphError, PreconditionError, analyze_tight, bits,
-                     is_maximal_independent_set, m_degree)
+from .graphs import (Colouring, Graph, GraphError, PreconditionError, TightAnalysis,
+                     analyze_tight, bits, is_maximal_independent_set, m_degree)
 from .io import Formula33, FormulaError  # noqa: F401  (FormulaError kept importable here)
 from .matching import maximum_matching
 
@@ -73,8 +73,20 @@ class NotTightError(PreconditionError):
     pass
 
 
+def _require_tight(g: Graph) -> TightAnalysis:
+    info = analyze_tight(g)
+    if not info.is_tight:
+        raise NotTightError("input graph is not tight")
+    return info
+
+
 class NotCubicError(GraphError):
     pass
+
+
+def _require_cubic(g: Graph) -> None:
+    if any(g.degree(v) != 3 for v in range(g.n)):
+        raise NotCubicError("input graph is not cubic")
 
 
 # -- cliques and independent sets -------------------------------------------
@@ -197,8 +209,6 @@ def _colour_search(adj: Sequence[int], k: int, order: list[int],
 
 
 def chromatic_number(g: Graph, *, budget: int | None = None) -> tuple[int, Colouring]:
-    if g.n == 0:
-        return 0, Colouring((), 0)
     # fewer than omega colours are impossible, nor fewer than n/alpha, since
     # a class holds at most alpha vertices; k-1 has failed before k is tried,
     # so a colouring with at most k colours uses exactly k
@@ -376,9 +386,7 @@ def tight_b_exact(g: Graph, *, node_budget: int | None = None) -> TightSearch:
     """
     if node_budget is None:
         node_budget = DEFAULT_NODE_BUDGET
-    info = analyze_tight(g)
-    if not info.is_tight:
-        raise NotTightError("tight b-colouring search needs a tight input graph")
+    info = _require_tight(g)
     m = info.m
     adj = g.adj
     hit = list(adj)
@@ -519,9 +527,6 @@ class FallSpectrum:
     values: tuple[int, ...]
     witnesses: dict[int, Colouring] = field(default_factory=dict, compare=False)
 
-    def __contains__(self, k: int) -> bool:
-        return k in self.values
-
 
 def fall_spectrum(g: Graph, *, budget: int | None = None) -> FallSpectrum:
     """All k admitting a partition of V into k maximal independent sets,
@@ -542,8 +547,7 @@ def fall_spectrum(g: Graph, *, budget: int | None = None) -> FallSpectrum:
 
 def three_edge_colouring(g: Graph, *, budget: int | None = None) -> dict[tuple[int, int], int] | None:
     """Proper 3-edge-colouring of a cubic graph, or None."""
-    if any(g.degree(v) != 3 for v in range(g.n)):
-        raise NotCubicError("3-edge-colouring oracle expects a cubic graph")
+    _require_cubic(g)
     _past_limit(g.n, budget, DEFAULT_NP_BUDGET, "edge-colouring")
     # a proper 3-edge-colouring is a 3-colouring of the line graph
     edges = g.edges()
@@ -602,8 +606,6 @@ def min_maximal_matching_size(g: Graph, *, budget: int | None = None) -> int:
     a cover, reaches the best cost found.
     """
     _past_limit(g.n, budget, DEFAULT_NP_BUDGET, "matching")
-    if not g.edge_count():
-        return 0
     full = g.full_mask()
     covers = sorted((full & ~s for s in maximal_independent_sets(g)), key=int.bit_count)
     best = g.n

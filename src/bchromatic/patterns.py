@@ -311,9 +311,10 @@ def is_linear_forest(g: Graph) -> bool:
     return (g.n == 0 or g.max_degree() <= 2) and is_forest(g)
 
 
-def _partitioned(classes: list[int], r: int) -> bool:
+def _partitioned(classes, r: int) -> bool:
     """True iff the sets ``classes[v] & r`` for v in ``r`` partition ``r``.
 
+    ``classes`` is indexed by vertex, a list or ``_ClosedNeighbourhoods``;
     ``classes[v]`` must contain v and come from a symmetric relation, such
     as closed neighbourhoods.  Take the least vertex's class, check that it
     is the class of each member, remove it and repeat: a vertex left later
@@ -329,8 +330,15 @@ def _partitioned(classes: list[int], r: int) -> bool:
     return True
 
 
-def _closed_neighbourhoods(g: Graph) -> list[int]:
-    return [a | 1 << v for v, a in enumerate(g.adj)]
+class _ClosedNeighbourhoods:
+    """``closed[v]`` is ``adj[v] | 1 << v``, made when it is read: a list of
+    them would hold about n²/16 bytes even on a graph with no edges."""
+
+    def __init__(self, g: Graph):
+        self.adj = g.adj
+
+    def __getitem__(self, v: int) -> int:
+        return self.adj[v] | 1 << v
 
 
 def _closed_non_neighbourhoods(g: Graph) -> list[int]:
@@ -339,7 +347,7 @@ def _closed_non_neighbourhoods(g: Graph) -> list[int]:
 
 
 def is_union_of_cliques(g: Graph) -> bool:
-    return _partitioned(_closed_neighbourhoods(g), g.full_mask())
+    return _partitioned(_ClosedNeighbourhoods(g), g.full_mask())
 
 
 def is_complete_multipartite(g: Graph) -> bool:
@@ -366,7 +374,7 @@ def p3p1_decomposition(g: Graph) -> list[tuple[int, ...]] | None:
     Read in ``g``: each co-component has no independent triple, or is a
     disjoint union of complete graphs.
     """
-    closed = _closed_neighbourhoods(g)
+    closed = _ClosedNeighbourhoods(g)
     parts = g.component_masks(co=True)
     if any(not _partitioned(closed, p) and has_independent_triple(g, p) for p in parts):
         return None
@@ -408,10 +416,11 @@ def _peel(g: Graph, classes: list[int]) -> int:
 
 # Pattern -> a test that, when it holds, proves the host free of the
 # pattern.  A failed test proves nothing: the search then runs as before,
-# so every witness stays the least one.  The P3+P1 row is exact.
+# so every witness stays the least one.  The P3+P1 row is exact.  The peel
+# reads each class many times over its passes, so it takes them as a list.
 _FREENESS_PROOFS = {
     pattern_graph("2P2+P1"): lambda g: not _peel(g, _closed_non_neighbourhoods(g)),
-    pattern_graph("2P3"): lambda g: not _peel(g, _closed_neighbourhoods(g)),
+    pattern_graph("2P3"): lambda g: not _peel(g, [a | 1 << v for v, a in enumerate(g.adj)]),
     pattern_graph("P3+P1"): lambda g: p3p1_decomposition(g) is not None,
 }
 

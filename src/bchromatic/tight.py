@@ -35,9 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import (Colouring, Graph, GraphError, PreconditionError, TightAnalysis,
-                     _class_masks, _monochromatic_edge, analyze_tight, bits, is_b_colouring)
+                     _class_masks, _monochromatic_edge, bits, is_b_colouring)
 from .matching import perfect_matching
-from .oracles import NotTightError, tight_b_exact
+from .oracles import _require_tight, tight_b_exact
 from .patterns import is_free, p3p1_decomposition
 
 
@@ -74,10 +74,7 @@ def validate_partial(g: Graph, s_prime, colours: dict[int, int]) -> PartialBColo
     (host not tight, S' outside the boundary, colours not covering T + S')
     raise instead: they are misuse, not "no" answers.
     """
-    info = analyze_tight(g)
-    if not info.is_tight:
-        raise NotTightError("partial b-colourings are defined on tight graphs")
-    return _validate_partial(g, info, s_prime, colours)
+    return _validate_partial(g, _require_tight(g), s_prime, colours)
 
 
 def _validate_partial(g: Graph, info: TightAnalysis, s_prime,
@@ -184,7 +181,7 @@ def extend_partial(p: PartialBColouring) -> Colouring | None:
     matching = perfect_matching(Graph.from_edges(len(t2) + len(s), aux_edges))
     if matching is None:
         return None
-    for a, b in matching.edges:  # a < b: a indexes T2, b the boundary
+    for a, b in matching:  # a < b: a indexes T2, b the boundary
         colour[s[b - len(t2)]] = colour[t2[a]]
     _greedy_complete(g, colour, m)
     return Colouring.from_values(colour)
@@ -233,13 +230,6 @@ def boundary_forcings(g: Graph, info: TightAnalysis) -> dict[int, int] | None:
                     return None
                 forced[s] = col_of[u]
     return forced
-
-
-def _require_tight(g: Graph) -> TightAnalysis:
-    info = analyze_tight(g)
-    if not info.is_tight:
-        raise NotTightError("input graph is not tight")
-    return info
 
 
 def tight_b_2p2p1_free(g: Graph) -> Colouring | None:

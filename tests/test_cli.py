@@ -240,6 +240,27 @@ def test_reduction_under_oracle_budget(files, capsys, monkeypatch, command):
 def test_error_exit_code(files, capsys):
     code, rep = run(capsys, "analyze", str(files["dir"] / "missing.col"))
     assert code == 3 and rep["status"] == "error"
+    bad = files["dir"] / "bad-number.col"
+    bad.write_text("p edge 3 1\ne 1 x\n")
+    code, rep = run(capsys, "analyze", str(bad))
+    assert code == 3 and rep["error"] == "line 2: malformed number 'x'"
+
+
+@pytest.mark.parametrize("witness", [(0, 1), (0, 1, 0), (0, 1, 7), (-1, 0, 1)],
+                         ids=["short", "repeated", "past-n", "negative"])
+def test_induced_embedding_check_rejects(witness):
+    from bchromatic.cli import _is_induced_embedding
+    p4, p3 = pattern_graph("P4"), pattern_graph("P3")
+    assert _is_induced_embedding(p4, p3, (0, 1, 2))
+    assert not _is_induced_embedding(p4, p3, witness)
+
+
+def test_package_names_resolve_on_first_access():
+    import bchromatic
+    from bchromatic import Matching, maximum_matching
+    assert maximum_matching(pattern_graph("P4")) == Matching({(0, 1), (2, 3)})
+    with pytest.raises(AttributeError, match="has no attribute 'nosuch'"):
+        bchromatic.nosuch
 
 
 @pytest.mark.parametrize("argv, error", [

@@ -17,8 +17,8 @@ from bchromatic.graphs import (Graph, GraphError, analyze_tight,
                                disjoint_union, is_fall_colouring,
                                is_tight_b_colouring)
 from bchromatic.io import graph_digest
-from bchromatic.oracles import (clique_number, fall_spectrum, one_in_three_sat,
-                                three_edge_colouring, tight_b_exact)
+from bchromatic.oracles import (NotCubicError, clique_number, fall_spectrum,
+                                one_in_three_sat, three_edge_colouring, tight_b_exact)
 from bchromatic.patterns import contains_induced, is_free, pattern_graph
 
 CUBIC_FIXTURES = {
@@ -118,9 +118,22 @@ def test_forward_witnesses_validate():
 def test_forward_map_rejects_bad_edge_colouring():
     g = CUBIC_FIXTURES["K4"]
     inst = edge3col_instance(g)
-    bad = {e: 1 for e in g.edges()}
-    with pytest.raises(GraphError):
-        edge_colouring_to_tight_bcolouring(inst, bad)
+    good = {(0, 1): 1, (2, 3): 1, (0, 2): 2, (1, 3): 2, (0, 3): 3, (1, 2): 3}
+    assert is_tight_b_colouring(inst.graph, edge_colouring_to_tight_bcolouring(inst, good))
+    for bad, message in [
+        ({e: 1 for e in g.edges()}, "edge colouring is not proper"),
+        ({e: c for e, c in good.items() if e != (0, 1)},
+         "edge colouring must cover exactly the source edges"),
+        ({**good, (0, 1): 4}, "edge colours must lie in"),
+    ]:
+        with pytest.raises(GraphError, match=message):
+            edge_colouring_to_tight_bcolouring(inst, bad)
+
+
+@pytest.mark.parametrize("entry", [three_edge_colouring, edge3col_instance])
+def test_not_cubic_has_one_message(entry):
+    with pytest.raises(NotCubicError, match="^input graph is not cubic$"):
+        entry(pattern_graph("C4"))
 
 
 def test_one_in_three_instance_structure():
@@ -157,8 +170,10 @@ def test_one_in_three_cover_bounds():
 
 def test_one_in_three_rejects_bad_assignment():
     inst = one_in_three_graph(FORMULA_N3_SATISFIABLE)
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="not 1-in-3 satisfying"):
         assignment_to_fall_colouring(inst, (True, True, False))
+    with pytest.raises(GraphError, match="length mismatch"):
+        assignment_to_fall_colouring(inst, (True,))
 
 
 def test_triangle_free_gadget_certificate():
@@ -189,6 +204,8 @@ def test_fall_gadget_union_line_kind():
     assert fall_spectrum(u).values == (3,)
     u = fall_gadget_union(pattern_graph("K4"), "line")
     assert fall_spectrum(u).values == ()
+    with pytest.raises(GraphError, match="unknown union kind 'x'"):
+        fall_gadget_union(pattern_graph("K4"), "x")
 
 
 def test_family_generators():
@@ -203,6 +220,9 @@ def test_family_generators():
     assert family("petersen").degrees() == [3] * 10
     with pytest.raises(GraphError):
         family("crown", 1)
+    for make in (crown_graph, odd_crown_graph):
+        with pytest.raises(GraphError, match="needs n >= 2"):
+            make(1)
     with pytest.raises(GraphError):
         family("nonesuch", 5)
 

@@ -33,6 +33,8 @@ def test_build_graph_errors():
         Graph.from_edges(3, [(0, 3)])
     with pytest.raises(GraphError):
         Graph.from_edges(3, [(1, 1)])
+    with pytest.raises(GraphError, match="^vertex count must be non-negative, got -1$"):
+        Graph.from_edges(-1, [])
 
 
 def test_complement_named_pairs():

@@ -45,6 +45,10 @@ def test_dimacs_errors_carry_line_numbers():
         parse_dimacs("e 1 2\n")
     with pytest.raises(ParseError):
         parse_dimacs("p edge 3 0\nq 1 2\n")
+    # past 4300 digits int() refuses a number: a plain header of 5000 digits
+    with pytest.raises(ParseError) as err:
+        parse_dimacs(f"p edge {'9' * 5000} 0\n")
+    assert err.value.line_no == 1
 
 
 def test_dimacs_comments_and_one_based():
@@ -57,6 +61,26 @@ def test_formula_round_trip():
     assert parse_formula(write_formula(f)) == f
     with pytest.raises(ParseError):
         parse_formula("p 13sat 3\n1 2\n")
+
+
+# Malformed formulas -> (str(exc), line_no); every one is a ParseError.
+FORMULA_ERRORS = [
+    ("p 13sat x\n", "line 1: malformed number 'x'", 1),
+    ("c head\np 13sat 3\n1 2 z\n", "line 3: malformed number 'z'", 3),
+    ("p 13sat 3\n1 2 3.0\n", "line 2: malformed number '3.0'", 2),
+    ("p 13sat 3\n1 2 4\n", "line 2: variable index out of range", 2),
+    ("1 2 3\n", "line 1: clause before problem line", 1),
+    ("p 13sat\n", "line 1: malformed problem line 'p 13sat'", 1),
+    ("c only\n", "line 0: missing problem line", 0),
+]
+
+
+@pytest.mark.parametrize("text, message, line_no", FORMULA_ERRORS)
+def test_formula_errors_carry_line_numbers(text, message, line_no):
+    with pytest.raises(ParseError) as err:
+        parse_formula(text)
+    assert str(err.value) == message
+    assert err.value.line_no == line_no
 
 
 def test_formula_duplicate_problem_line():
@@ -132,7 +156,8 @@ EDGE_LIST_ERRORS = [
     ("n 3\n0 7\n1 1", ParseError, "line 3: self-loop", 3),
     ("0 -1", ParseError, "line 1: negative vertex index", 1),
     ("n", ParseError, "line 1: malformed vertex-count line", 1),
-    ("0 x", ValueError, "invalid literal for int() with base 10: 'x'", None),
+    ("0 x", ParseError, "line 1: malformed number 'x'", 1),
+    ("# n\nn 2.0\n0 1", ParseError, "line 2: malformed number '2.0'", 2),
 ]
 
 
@@ -172,11 +197,11 @@ DIMACS_ERRORS = [
      "line 2: vertex count 100000000000000000000 exceeds the limit of 1000000", 2),
     ("", ParseError, "line 0: missing problem line", 0),
     ("c only\n  \n\t\n", ParseError, "line 0: missing problem line", 0),
-    ("p edge 3 0\ne 1 x", ValueError, "invalid literal for int() with base 10: 'x'", None),
-    ("p edge 3 0\ne x 9", ValueError, "invalid literal for int() with base 10: 'x'", None),
-    ("p edge 3 0\ne 9 x", ValueError, "invalid literal for int() with base 10: 'x'", None),
-    ("p edge 3 0\ne 2 1\ne 1 y", ValueError, "invalid literal for int() with base 10: 'y'", None),
-    ("p edge x 0", ValueError, "invalid literal for int() with base 10: 'x'", None),
+    ("p edge 3 0\ne 1 x", ParseError, "line 2: malformed number 'x'", 2),
+    ("p edge 3 0\ne x 9", ParseError, "line 2: malformed number 'x'", 2),
+    ("p edge 3 0\ne 9 x", ParseError, "line 2: malformed number 'x'", 2),
+    ("p edge 3 0\ne 2 1\ne 1 y", ParseError, "line 3: malformed number 'y'", 3),
+    ("p edge x 0", ParseError, "line 1: malformed number 'x'", 1),
     ("p edge -1 0", GraphError, "vertex count must be non-negative, got -1", None),
 ]
 

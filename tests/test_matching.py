@@ -3,7 +3,9 @@
 import random
 
 from bchromatic.gadgets import crown_graph, petersen_graph
-from bchromatic.graphs import Graph
+import pytest
+
+from bchromatic.graphs import Graph, GraphError
 from bchromatic.matching import check_matching, maximum_matching, perfect_matching
 from bchromatic.patterns import pattern_graph
 
@@ -44,6 +46,15 @@ def test_random_agreement():
         assert (perfect_matching(g) is not None) == (2 * bf == g.n)
 
 
+@pytest.mark.parametrize("m, message", [
+    (frozenset({(0, 2)}), r"^matching pair \(0, 2\) is not an edge$"),
+    (frozenset({(0, 1), (1, 2)}), r"^matching pair \(\d, \d\) shares a vertex$"),
+])
+def test_check_matching_rejects(m, message):
+    with pytest.raises(GraphError, match=message):
+        check_matching(pattern_graph("P4"), m)
+
+
 def test_matchings_are_deterministic():
     g = petersen_graph()
-    assert maximum_matching(g).edges == maximum_matching(g).edges
+    assert maximum_matching(g) == maximum_matching(g)

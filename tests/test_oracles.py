@@ -40,6 +40,7 @@ def test_chromatic_examples():
     assert chromatic_number(petersen_graph())[0] == 3
     k, w = chromatic_number(pattern_graph("C6"))
     assert k == 2 and w.k == 2
+    assert chromatic_number(Graph.empty(0)) == (0, Colouring((), 0))
 
 
 def test_chromatic_small_independence_path():
@@ -390,6 +391,10 @@ def test_one_in_three_sat():
         Formula33(3, ((0, 1, 2), (0, 1, 2)))
     with pytest.raises(FormulaError):
         Formula33(3, ((0, 1, 1), (0, 1, 2), (0, 1, 2)))
+    with pytest.raises(FormulaError, match="^variable 3 out of range$"):
+        Formula33(3, ((0, 1, 3), (0, 1, 2), (0, 1, 2)))
+    with pytest.raises(FormulaError, match="exactly three clauses"):
+        Formula33(4, ((0, 1, 2), (0, 1, 2), (0, 1, 2), (0, 1, 3)))
     # forced absence: clause set where no assignment hits each clause once,
     # verified against plain enumeration
     f = Formula33(6, ((0, 1, 3), (0, 1, 4), (0, 2, 5), (1, 2, 5), (2, 3, 4), (3, 4, 5)))
@@ -431,6 +436,8 @@ def test_min_maximal_matching():
     assert min_maximal_matching_size(pattern_graph("K4")) == 2
     assert min_maximal_matching_size(pattern_graph("C6")) == 2
     assert min_maximal_matching_size(pattern_graph("3P1")) == 0
+    for k in (0, 1, 7):
+        assert min_maximal_matching_size(Graph.empty(k)) == 0
 
 
 def test_min_maximal_matching_against_brute_force():

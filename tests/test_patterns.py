@@ -3,11 +3,12 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 from bchromatic.graphs import Graph, bits, co_components
-from bchromatic.patterns import (PatternError, Verdict, _closed_neighbourhoods,
+from bchromatic.patterns import (PatternError, Verdict, _ClosedNeighbourhoods,
                                  _closed_non_neighbourhoods, _peel, classify, contains_induced,
                                  has_independent_triple, is_complete_multipartite, is_free,
                                  is_induced_subgraph_of, is_linear_forest, is_union_of_cliques,
@@ -24,8 +25,9 @@ def test_pattern_expansion():
     assert pattern_graph("3P1").edge_count() == 0
     assert pattern_graph("2P2+P1").n == 5
     assert pattern_graph("C5").degrees() == [2] * 5
-    with pytest.raises(PatternError):
-        pattern_graph("Q7")
+    for name in ("Q7", "C2", "P2++P1"):
+        with pytest.raises(PatternError):
+            pattern_graph(name)
     for name in ("P0", "K0", "0P1"):
         with pytest.raises(PatternError, match=f"^pattern '{name}' has no vertices$"):
             pattern_graph(name)
@@ -162,7 +164,7 @@ def test_peeled_vertices_lie_in_no_pattern():
     (respectively 2P3) of the whole graph, on every graph with at most 6
     vertices; the unpruned reference search decides each vertex subset."""
     rows = [(pattern_graph("2P2+P1"), _closed_non_neighbourhoods),
-            (pattern_graph("2P3"), _closed_neighbourhoods)]
+            (pattern_graph("2P3"), _ClosedNeighbourhoods)]
     for h, classes in rows:
         has_copy: dict[Graph, bool] = {}
         for g in all_graphs_up_to(6):
@@ -198,6 +200,22 @@ def test_freeness_proofs_need_no_search(monkeypatch):
     assert is_free(gadget, "2P3")
 
 
+def test_clique_partition_stores_no_mask_per_vertex():
+    """A list of the closed neighbourhoods of a graph with no edges holds
+    about n²/16 bytes; P3+P1 recognition and the union-of-cliques test make
+    each mask when they read it, so their peak stays far below that."""
+    n = 10000
+    g = Graph.empty(n)
+    for check in (p3p1_decomposition, is_union_of_cliques):
+        tracemalloc.start()
+        try:
+            check(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n // 64, (check.__name__, peak)
+
+
 def test_paw_free_decomposition_cross_check():
     # paw-free iff every component is triangle-free or complete multipartite
     rng = random.Random(12)
@@ -231,6 +249,8 @@ def test_classifier_known_cases():
     assert classify(claw, "b").verdict is Verdict.NP_HARD
     assert classify(claw, "tightb").verdict is Verdict.NP_COMPLETE
     assert classify(claw, "fall").verdict is Verdict.NP_HARD
+    with pytest.raises(PatternError, match="non-empty forbidden graph"):
+        classify(Graph.empty(0), "b")
 
 
 def test_tightb_open_families_exactly():

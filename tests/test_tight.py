@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bchromatic.graphs import (Graph, analyze_tight, co_components,
+from bchromatic.graphs import (Colouring, Graph, analyze_tight, co_components,
                                disjoint_union, is_tight_b_colouring)
 from bchromatic.oracles import NotTightError, tight_b_exact
 from bchromatic.patterns import p3p1_decomposition, pattern_graph
@@ -49,6 +49,20 @@ def test_validate_partial_rejects_t_collision():
     assert isinstance(res, PartialViolation) and res.clause == "t-distinct"
 
 
+def test_validate_partial_rejects_colour_range():
+    res = validate_partial(P5, set(), {1: 1, 2: 2, 3: 4})
+    assert isinstance(res, PartialViolation) and res.clause == "colour-range"
+
+
+@pytest.mark.parametrize("entry", [tight_b_exact, solve_tight, tight_b_2p2p1_free,
+                                   lambda g: validate_partial(g, set(), {})],
+                         ids=["tight_b_exact", "solve_tight", "tight_b_2p2p1_free",
+                              "validate_partial"])
+def test_not_tight_has_one_message(entry):
+    with pytest.raises(NotTightError, match="^input graph is not tight$"):
+        entry(pattern_graph("C4"))
+
+
 def test_validate_partial_domain_errors():
     with pytest.raises(NotTightError):
         validate_partial(pattern_graph("C4"), set(), {})
@@ -74,6 +88,8 @@ def test_extend_partial_matching_case():
     assert c is not None
     assert is_tight_b_colouring(P5, c)
     assert is_b_precolouring_extension(res, c)
+    # proper, extends the partial colouring, but colour 1 has no b-vertex
+    assert not is_b_precolouring_extension(res, Colouring((2, 1, 2, 3, 1), 3))
 
 
 def test_extend_partial_case1_no():
