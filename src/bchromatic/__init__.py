@@ -13,11 +13,12 @@ __version__ = "0.1.0"
 
 # module -> the names the package exports from it
 _EXPORTS = {
-    "graphs": "Colouring Graph TightAnalysis analyze_tight co_components complete_join"
-              " disjoint_union is_b_colouring is_fall_colouring is_tight_b_colouring m_degree",
+    "graphs": "Colouring FallSpectrum Graph TightAnalysis analyze_tight co_components"
+              " complete_join disjoint_union is_b_colouring is_fall_colouring"
+              " is_tight_b_colouring m_degree",
     "matching": "Matching maximum_matching perfect_matching",
     "io": "Formula33",
-    "oracles": "FallSpectrum b_chromatic_number b_colouring_with chromatic_number fall_spectrum"
+    "oracles": "b_chromatic_number b_colouring_with chromatic_number fall_spectrum"
                " min_maximal_matching_size one_in_three_sat three_edge_colouring tight_b_exact",
     "patterns": "DichotomyVerdict Verdict classify contains_induced is_free"
                 " is_induced_subgraph_of p3p1_decomposition pattern_graph",

@@ -14,6 +14,9 @@ number >= 0; any other value is an error report that names it.
 Each command imports only the modules it runs: its solver inside its
 ``cmd_*`` function, and the tables behind ``kind`` and ``--problem`` only
 when a value is checked, so ``analyze`` loads ``graphs`` and ``io`` alone.
+``tightb`` and ``fall`` load ``oracles`` only when an input falls back to
+it, and no command imports ``dataclasses`` (nor the ``inspect`` it pulls
+in): the records are ``NamedTuple``s or classes with ``__slots__``.
 Where no bytecode cache is written (a read-only install,
 ``PYTHONDONTWRITEBYTECODE``), every fresh process compiles each module it
 imports from source, and for a small input that is most of a command's time.
@@ -31,7 +34,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .graphs import (Colouring, Graph, analyze_tight, bits, co_components,
+from .graphs import (Colouring, Graph, NotTightError, analyze_tight, bits, co_components,
                      is_fall_colouring, is_tight_b_colouring)
 from .io import (graph_digest, load_formula, load_graph, write_dimacs)
 
@@ -91,7 +94,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_tightb(args) -> int:
-    from .oracles import NotTightError
     from .tight import solve_tight
     g = load_graph(args.path)
     rep = _report("tightb", args.path, g)

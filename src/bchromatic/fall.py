@@ -40,11 +40,10 @@ and the oracle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .graphs import Colouring, Graph, bits
+from .graphs import Colouring, FallSpectrum, Graph, bits
 from .matching import perfect_matching
-from .oracles import FallSpectrum, fall_spectrum
 from .patterns import has_independent_triple
 
 
@@ -92,8 +91,7 @@ def _split(g: Graph) -> tuple[FallSpectrum, str] | None:
     return FallSpectrum(tuple(witnesses), witnesses), "(P3+P1)-free" if cliques else "modular"
 
 
-@dataclass(frozen=True)
-class FallUniqueness:
+class FallUniqueness(NamedTuple):
     fall_unique: bool
     spectrum: FallSpectrum
     path: str  # "(P3+P1)-free" | "modular" | "oracle"
@@ -104,5 +102,9 @@ def fall_uniqueness_report(g: Graph, *, budget: int | None = None) -> FallUnique
     the oracle within the vertex ``budget``.  The path is "(P3+P1)-free"
     when ``g`` is, "modular" for the other graphs the split answers.  Flags
     graphs whose spectrum is a single value."""
-    spectrum, path = _split(g) or (fall_spectrum(g, budget=budget), "oracle")
+    split = _split(g)
+    if split is None:
+        from .oracles import fall_spectrum
+        split = fall_spectrum(g, budget=budget), "oracle"
+    spectrum, path = split
     return FallUniqueness(len(spectrum.values) == 1, spectrum, path)

@@ -26,14 +26,13 @@ instances are byte-stable across runs.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Any
+from typing import Any, NamedTuple
 
-from .graphs import (Colouring, Graph, GraphError, analyze_tight,
+from .graphs import (Colouring, Graph, GraphError, _Record, _require_cubic, analyze_tight,
                      disjoint_union, is_fall_colouring, is_tight_b_colouring)
 from .io import Formula33, load_formula, load_graph
-from .oracles import (BudgetExceededError, _require_cubic, clique_number, fall_spectrum,
+from .oracles import (BudgetExceededError, clique_number, fall_spectrum,
                       min_maximal_matching_size, one_in_three_sat,
                       three_edge_colouring, tight_b_exact, b_chromatic_number)
 from .patterns import is_free, pattern_graph
@@ -97,8 +96,7 @@ def family(name: str, n: int = 0) -> Graph:
 # -- co-bipartite hardness instance ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class CobipartiteInstance:
+class CobipartiteInstance(NamedTuple):
     bipartite_union: Graph  # the union H of the per-edge gadgets
     graph: Graph            # complement of H: the actual hardness instance
 
@@ -129,8 +127,7 @@ def cobipartite_hardness_instance(g: Graph) -> CobipartiteInstance:
 EDGE3COL_VARIANTS = ("edge3col", "edge3col-3p2", "edge3col-2p3")
 
 
-@dataclass(frozen=True)
-class EdgeColouringInstance:
+class EdgeColouringInstance(NamedTuple):
     variant: str  # one of EDGE3COL_VARIANTS
     source: Graph
     graph: Graph
@@ -228,8 +225,7 @@ def edge_colouring_to_tight_bcolouring(inst: EdgeColouringInstance,
 # -- 1-in-3 satisfiability instance ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OneInThreeInstance:
+class OneInThreeInstance(NamedTuple):
     formula: Formula33
     g: Graph
     gbar: Graph
@@ -326,16 +322,28 @@ def fall_gadget_union(g: Graph, kind: str) -> Graph:
 # -- reduction certificates -----------------------------------------------------------
 
 
-@dataclass
-class ReductionCertificate:
-    instance: Graph
-    structural_checks: list[tuple[str, bool]]
-    forward_witness: Colouring | None = None
-    forward_note: str = ""
-    backward_note: str = ""
-    measurements: dict[str, Any] = field(default_factory=dict)
-    equivalence_status: str = "structural-only"  # | "verified" | "inconclusive"
-    inconsistent: bool = False
+class ReductionCertificate(_Record):
+    """What ``verify_reduction`` found, filled in as it goes: the one record
+    whose fields may be assigned, so it has no hash.  ``equivalence_status``
+    is "structural-only", "verified" or "inconclusive"."""
+
+    __slots__ = ("instance", "structural_checks", "forward_witness", "forward_note",
+                 "backward_note", "measurements", "equivalence_status", "inconsistent")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, instance: Graph, structural_checks: list[tuple[str, bool]],
+                 forward_witness: Colouring | None = None, forward_note: str = "",
+                 backward_note: str = "", measurements: dict[str, Any] | None = None,
+                 equivalence_status: str = "structural-only",
+                 inconsistent: bool = False):
+        self.instance = instance
+        self.structural_checks = structural_checks
+        self.forward_witness = forward_witness
+        self.forward_note = forward_note
+        self.backward_note = backward_note
+        self.measurements = {} if measurements is None else measurements
+        self.equivalence_status = equivalence_status
+        self.inconsistent = inconsistent
 
     def structurally_sound(self) -> bool:
         return all(ok for _, ok in self.structural_checks)

@@ -25,9 +25,8 @@ Colouring vocabulary used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
 class GraphError(ValueError):
@@ -36,6 +35,14 @@ class GraphError(ValueError):
 
 class PreconditionError(GraphError):
     """Solver called outside its graph class."""
+
+
+class NotTightError(PreconditionError):
+    pass
+
+
+class NotCubicError(GraphError):
+    pass
 
 
 class ColouringError(ValueError):
@@ -62,12 +69,63 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
-class Graph:
+_set = object.__setattr__
+
+
+class _Record:
+    """A value whose fields are its ``__slots__``, set once by ``__init__``
+    through ``_set``: assigning or deleting a field raises AttributeError.
+    It equals, and hashes like, a value of its own class with the same
+    ``_key()`` (every field unless the class says otherwise), and its repr
+    names every field."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    _key = _fields
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: {name!r} cannot be set or deleted")
+
+    __delattr__ = __setattr__
+
+
+class Graph(_Record):
     """Immutable simple graph on vertices 0..n-1 with bitmask adjacency."""
 
+    __slots__ = ("n", "adj")
     n: int
     adj: tuple[int, ...]
+
+    def __init__(self, n: int, adj: tuple[int, ...]):
+        _set(self, "n", n)
+        _set(self, "adj", adj)
+
+    # written out, not ``_key``: graphs are dictionary keys and compared often
+    def __eq__(self, other):
+        if other.__class__ is not Graph:
+            return NotImplemented
+        return self.n == other.n and self.adj == other.adj
+
+    def __hash__(self):
+        return hash((self.n, self.adj))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -212,8 +270,7 @@ def co_components(g: Graph) -> list[tuple[int, ...]]:
 # -- m-degree, dense vertices, tightness ----------------------------------
 
 
-@dataclass(frozen=True)
-class TightAnalysis:
+class TightAnalysis(NamedTuple):
     m: int
     dense: frozenset[int]
     boundary: frozenset[int]
@@ -245,11 +302,22 @@ def analyze_tight(g: Graph) -> TightAnalysis:
     return TightAnalysis(m, dense, frozenset(bits(bmask)), tight)
 
 
+def _require_tight(g: Graph) -> TightAnalysis:
+    info = analyze_tight(g)
+    if not info.is_tight:
+        raise NotTightError("input graph is not tight")
+    return info
+
+
+def _require_cubic(g: Graph) -> None:
+    if any(g.degree(v) != 3 for v in range(g.n)):
+        raise NotCubicError("input graph is not cubic")
+
+
 # -- colourings ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Colouring:
+class Colouring(_Record):
     """Total colouring with colours 1..k, every colour used, which the
     constructor checks.
 
@@ -257,13 +325,16 @@ class Colouring:
     by the constructor.
     """
 
+    __slots__ = ("colours", "k")
     colours: tuple[int, ...]
     k: int
 
-    def __post_init__(self):
-        used = set(self.colours)
-        if used != set(range(1, self.k + 1)):
+    def __init__(self, colours: tuple[int, ...], k: int):
+        used = set(colours)
+        if used != set(range(1, k + 1)):
             raise ColouringError(f"colours must be exactly 1..k, got {sorted(used)}")
+        _set(self, "colours", colours)
+        _set(self, "k", k)
 
     @classmethod
     def from_values(cls, values: Iterable[int]) -> "Colouring":
@@ -288,6 +359,22 @@ class Colouring:
 
     def class_masks(self) -> dict[int, int]:
         return _class_masks(enumerate(self.colours), self.k)
+
+
+class FallSpectrum(_Record):
+    """Achievable fall-colouring sizes with one witness per size; equal
+    spectra have the same values, whatever their witnesses."""
+
+    __slots__ = ("values", "witnesses")
+    values: tuple[int, ...]
+    witnesses: dict[int, Colouring]
+
+    def __init__(self, values: tuple[int, ...], witnesses: dict[int, Colouring] | None = None):
+        _set(self, "values", values)
+        _set(self, "witnesses", {} if witnesses is None else witnesses)
+
+    def _key(self) -> tuple:
+        return (self.values,)
 
 
 def _class_masks(coloured: Iterable[tuple[int, int]], k: int) -> dict[int, int]:

@@ -28,11 +28,10 @@ clause per line as three 1-based variable indices.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
 
-from .graphs import Graph, GraphError
+from .graphs import Graph, GraphError, _Record, _set
 
 
 # Largest vertex count a graph file may give, by a header or a vertex index:
@@ -62,27 +61,29 @@ class FormulaError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Formula33:
+class Formula33(_Record):
     """Positive 3-literal clauses, every variable in exactly three clauses,
     and as many clauses as variables."""
 
+    __slots__ = ("variables", "clauses")
     variables: int
     clauses: tuple[tuple[int, int, int], ...]
 
-    def __post_init__(self):
-        if len(self.clauses) != self.variables:
+    def __init__(self, variables: int, clauses: tuple[tuple[int, int, int], ...]):
+        if len(clauses) != variables:
             raise FormulaError("a (3,3)-formula has as many clauses as variables")
-        occ = [0] * self.variables
-        for cl in self.clauses:
+        occ = [0] * variables
+        for cl in clauses:
             if len(set(cl)) != 3:
                 raise FormulaError(f"clause {cl} must have three distinct variables")
             for x in cl:
-                if not 0 <= x < self.variables:
+                if not 0 <= x < variables:
                     raise FormulaError(f"variable {x} out of range")
                 occ[x] += 1
         if any(o != 3 for o in occ):
             raise FormulaError("every variable must occur in exactly three clauses")
+        _set(self, "variables", variables)
+        _set(self, "clauses", clauses)
 
 
 def write_dimacs(g: Graph) -> str:
@@ -198,12 +199,6 @@ def _parse_dimacs_lines(text: str) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def write_edge_list(g: Graph) -> str:
-    lines = [f"n {g.n}"]
-    lines += [f"{u} {v}" for u, v in g.edges()]
-    return "\n".join(lines) + "\n"
-
-
 def parse_edge_list(text: str) -> Graph:
     n = 0
     explicit = False
@@ -239,12 +234,6 @@ def parse_edge_list(text: str) -> Graph:
             if u >= n or v >= n:
                 raise ParseError(i, f"edge ({u}, {v}) exceeds declared n={n}")
     return Graph.from_edges(n, edges)
-
-
-def write_formula(f: Formula33) -> str:
-    lines = [f"p 13sat {f.variables}"]
-    lines += [" ".join(str(x + 1) for x in cl) for cl in f.clauses]
-    return "\n".join(lines) + "\n"
 
 
 def parse_formula(text: str) -> Formula33:

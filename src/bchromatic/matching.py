@@ -12,19 +12,9 @@ from __future__ import annotations
 
 from collections import deque
 
-from .graphs import Graph, GraphError, bits
+from .graphs import Graph, bits
 
 Matching = frozenset[tuple[int, int]]
-
-
-def check_matching(g: Graph, m: Matching) -> None:
-    seen: set[int] = set()
-    for u, v in m:
-        if not g.has_edge(u, v):
-            raise GraphError(f"matching pair ({u}, {v}) is not an edge")
-        if u in seen or v in seen:
-            raise GraphError(f"matching pair ({u}, {v}) shares a vertex")
-        seen.update((u, v))
 
 
 def maximum_matching(g: Graph) -> Matching:

@@ -33,11 +33,10 @@ maximal independent sets are the maximal cliques of the (sparse) complement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .graphs import (Colouring, Graph, GraphError, PreconditionError, TightAnalysis,
-                     analyze_tight, bits, is_maximal_independent_set, m_degree)
+from .graphs import (Colouring, FallSpectrum, Graph, _require_cubic, _require_tight, bits,
+                     is_maximal_independent_set, m_degree)
 from .io import Formula33, FormulaError  # noqa: F401  (FormulaError kept importable here)
 from .matching import maximum_matching
 
@@ -67,26 +66,6 @@ def _past_limit(n: int, budget: int | None, default: int, oracle: str, *,
             and independence_number(raised) <= 3):
         return True
     raise BudgetExceededError(f"{oracle} oracle limited to n<={limit}, got n={n}")
-
-
-class NotTightError(PreconditionError):
-    pass
-
-
-def _require_tight(g: Graph) -> TightAnalysis:
-    info = analyze_tight(g)
-    if not info.is_tight:
-        raise NotTightError("input graph is not tight")
-    return info
-
-
-class NotCubicError(GraphError):
-    pass
-
-
-def _require_cubic(g: Graph) -> None:
-    if any(g.degree(v) != 3 for v in range(g.n)):
-        raise NotCubicError("input graph is not cubic")
 
 
 # -- cliques and independent sets -------------------------------------------
@@ -342,8 +321,7 @@ def b_chromatic_number(g: Graph, *, budget: int | None = None) -> tuple[int, Col
 # -- tight b-colouring search --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TightSearch:
+class TightSearch(NamedTuple):
     status: str  # "found" | "absent" | "inconclusive"
     colouring: Colouring | None
     nodes: int
@@ -518,14 +496,6 @@ def _exact_covers(full: int, sets: Sequence[int]) -> Iterator[list[int]]:
 
 
 # -- fall spectrum --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FallSpectrum:
-    """Achievable fall-colouring sizes with one witness per size."""
-
-    values: tuple[int, ...]
-    witnesses: dict[int, Colouring] = field(default_factory=dict, compare=False)
 
 
 def fall_spectrum(g: Graph, *, budget: int | None = None) -> FallSpectrum:

@@ -12,7 +12,6 @@ builder table and ``+``/multiplier syntax composes them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
@@ -269,15 +268,21 @@ def contains_induced(g: Graph, h: Graph) -> tuple[int, ...] | None:
     without a search when it succeeds.  On hosts that are denser than half
     the possible edges the search runs on the complements, which leaves the
     witness unchanged and keeps the dense hardness instances cheap to check.
+    A host with fewer edges, or fewer non-edges, than the pattern is
+    answered None before either.
     """
     if h.n > g.n:
         return None
     if h.n == 0:
         return ()
+    edges, pairs = g.edge_count(), g.n * (g.n - 1) // 2
+    h_edges = h.edge_count()
+    if h_edges > edges or h.n * (h.n - 1) // 2 - h_edges > pairs - edges:
+        return None
     proof = _FREENESS_PROOFS.get(h)
     if proof is not None and proof(g):
         return None
-    if g.n >= 2 and 2 * g.edge_count() > g.n * (g.n - 1) // 2:
+    if 2 * edges > pairs:
         g, h = g.complement(), h.complement()
     plan = _plan(h)
     images = _embed(g, plan)
@@ -304,11 +309,6 @@ def is_induced_subgraph_of(h: Graph, pattern: str) -> bool:
 
 def is_forest(g: Graph) -> bool:
     return g.edge_count() == g.n - len(g.component_masks())
-
-
-def is_linear_forest(g: Graph) -> bool:
-    """Disjoint union of paths: acyclic with maximum degree at most 2."""
-    return (g.n == 0 or g.max_degree() <= 2) and is_forest(g)
 
 
 def _partitioned(classes, r: int) -> bool:
@@ -344,14 +344,6 @@ class _ClosedNeighbourhoods:
 def _closed_non_neighbourhoods(g: Graph) -> list[int]:
     # ~a holds v and every non-neighbour of v, and nothing above n matters
     return [~a for a in g.adj]
-
-
-def is_union_of_cliques(g: Graph) -> bool:
-    return _partitioned(_ClosedNeighbourhoods(g), g.full_mask())
-
-
-def is_complete_multipartite(g: Graph) -> bool:
-    return _partitioned(_closed_non_neighbourhoods(g), g.full_mask())
 
 
 def has_independent_triple(g: Graph, mask: int) -> bool:
@@ -435,8 +427,7 @@ class Verdict(Enum):
     OPEN = "open"
 
 
-@dataclass(frozen=True)
-class DichotomyVerdict:
+class DichotomyVerdict(NamedTuple):
     verdict: Verdict
     reason: str
     family: str | None = None

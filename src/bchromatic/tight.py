@@ -32,17 +32,15 @@ classes and the exact oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import (Colouring, Graph, GraphError, PreconditionError, TightAnalysis,
-                     _class_masks, _monochromatic_edge, bits, is_b_colouring)
+                     _class_masks, _monochromatic_edge, _require_tight, bits, is_b_colouring)
 from .matching import perfect_matching
-from .oracles import _require_tight, tight_b_exact
 from .patterns import is_free, p3p1_decomposition
 
 
-@dataclass(frozen=True)
-class PartialBColouring:
+class PartialBColouring(NamedTuple):
     host: Graph
     s_prime: frozenset[int]
     colours: dict[int, int]
@@ -53,14 +51,12 @@ class PartialBColouring:
         return self.analysis.m
 
 
-@dataclass(frozen=True)
-class PartialViolation:
+class PartialViolation(NamedTuple):
     clause: str  # "properness" | "t-distinct" | "colour-range" | "unique-neighbour"
     detail: str
 
 
-@dataclass(frozen=True)
-class DensePartition:
+class DensePartition(NamedTuple):
     t1: frozenset[int]
     t2: frozenset[int]
     t_prime: frozenset[int]
@@ -259,8 +255,7 @@ def _tight_2p2p1(g: Graph, info: TightAnalysis) -> Colouring | None:
 # -- dispatch --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TightSolve:
+class TightSolve(NamedTuple):
     path: str  # "(2P2+P1)-free" | "(P3+P1)-free" | "oracle"
     status: str  # "found" | "absent" | "inconclusive"
     colouring: Colouring | None
@@ -309,6 +304,7 @@ def solve_tight(g: Graph, *, node_budget: int | None = None) -> TightSolve:
         refuted = len(parts) > 1 and info.m < g.n
         path, c = "(P3+P1)-free", None if refuted else _tight_2p2p1(g, info)
     else:
+        from .oracles import tight_b_exact
         res = tight_b_exact(g, node_budget=node_budget)
         return TightSolve("oracle", res.status, res.colouring, info.m, res.nodes)
     return TightSolve(path, "absent" if c is None else "found", c, info.m, None)

@@ -9,12 +9,55 @@ from __future__ import annotations
 import itertools
 import random
 
-from bchromatic.graphs import (Colouring, Graph, analyze_tight, bits,
-                               complete_join, disjoint_union,
-                               is_fall_colouring, proper_violation)
-from bchromatic.oracles import (DEFAULT_NODE_BUDGET, Formula33, NotTightError,
-                                TightSearch, maximal_independent_sets)
-from bchromatic.patterns import is_free, pattern_graph
+from bchromatic.graphs import (Colouring, Graph, GraphError, NotTightError, analyze_tight,
+                               bits, complete_join, disjoint_union, is_fall_colouring,
+                               proper_violation)
+from bchromatic.io import Formula33
+from bchromatic.matching import Matching
+from bchromatic.oracles import DEFAULT_NODE_BUDGET, TightSearch, maximal_independent_sets
+from bchromatic.patterns import (_ClosedNeighbourhoods, _closed_non_neighbourhoods, _partitioned,
+                                 is_forest, is_free, pattern_graph)
+
+
+# -- writers and structure checks that the package itself never calls ---------
+
+
+def write_edge_list(g: Graph) -> str:
+    lines = [f"n {g.n}"]
+    lines += [f"{u} {v}" for u, v in g.edges()]
+    return "\n".join(lines) + "\n"
+
+
+def write_formula(f: Formula33) -> str:
+    lines = [f"p 13sat {f.variables}"]
+    lines += [" ".join(str(x + 1) for x in cl) for cl in f.clauses]
+    return "\n".join(lines) + "\n"
+
+
+def check_matching(g: Graph, m: Matching) -> None:
+    seen: set[int] = set()
+    for u, v in m:
+        if not g.has_edge(u, v):
+            raise GraphError(f"matching pair ({u}, {v}) is not an edge")
+        if u in seen or v in seen:
+            raise GraphError(f"matching pair ({u}, {v}) shares a vertex")
+        seen.update((u, v))
+
+
+def is_linear_forest(g: Graph) -> bool:
+    """Disjoint union of paths: acyclic with maximum degree at most 2."""
+    return (g.n == 0 or g.max_degree() <= 2) and is_forest(g)
+
+
+def is_union_of_cliques(g: Graph) -> bool:
+    return _partitioned(_ClosedNeighbourhoods(g), g.full_mask())
+
+
+def is_complete_multipartite(g: Graph) -> bool:
+    return _partitioned(_closed_non_neighbourhoods(g), g.full_mask())
+
+
+# -- enumerators and brute-force oracles --------------------------------------
 
 
 def all_graphs(n: int):

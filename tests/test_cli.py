@@ -13,11 +13,12 @@ from bchromatic.cli import build_parser, main
 from bchromatic.gadgets import REDUCTIONS, petersen_graph
 from bchromatic.graphs import (Colouring, Graph, is_fall_colouring, is_tight_b_colouring,
                                proper_violation)
-from bchromatic.io import graph_digest, parse_dimacs, write_dimacs, write_formula
+from bchromatic.io import graph_digest, parse_dimacs, write_dimacs
 from bchromatic.oracles import Formula33
 from bchromatic.patterns import pattern_graph
 
-from helpers import circular_ladder, cyclic_formula, footnote_graph, k4_free_complement
+from helpers import (circular_ladder, cyclic_formula, footnote_graph, k4_free_complement,
+                     write_formula)
 
 
 @pytest.fixture
@@ -26,7 +27,7 @@ def files(tmp_path):
     for name, g in [("c3", pattern_graph("C3")), ("c4", pattern_graph("C4")),
                     ("k5", pattern_graph("K5")), ("paw", pattern_graph("paw")),
                     ("p4", pattern_graph("P4")), ("p5", pattern_graph("P5")),
-                    ("2p2", pattern_graph("2P2")),
+                    ("2p2", pattern_graph("2P2")), ("p5p1", pattern_graph("P5+P1")),
                     ("foot", footnote_graph()), ("k4", pattern_graph("K4")),
                     ("petersen", petersen_graph())]:
         path = tmp_path / f"{name}.col"
@@ -259,6 +260,8 @@ def test_package_names_resolve_on_first_access():
     import bchromatic
     from bchromatic import Matching, maximum_matching
     assert maximum_matching(pattern_graph("P4")) == Matching({(0, 1), (2, 3)})
+    for name in bchromatic.__all__:
+        assert getattr(bchromatic, name) is not None, name
     with pytest.raises(AttributeError, match="has no attribute 'nosuch'"):
         bchromatic.nosuch
 
@@ -431,7 +434,7 @@ def test_fall_rejects_an_invalid_witness(files, capsys, monkeypatch, name, colou
     each end in one JSON error with exit 3."""
     import bchromatic.fall
     from bchromatic.fall import FallUniqueness
-    from bchromatic.oracles import FallSpectrum
+    from bchromatic.graphs import FallSpectrum
     w = Colouring.from_values(colours)
     res = FallUniqueness(True, FallSpectrum((w.k,), {w.k: w}), "modular")
     monkeypatch.setattr(bchromatic.fall, "fall_uniqueness_report", lambda g, budget: res)
@@ -448,29 +451,37 @@ SOLVERS = {"oracles", "matching", "patterns", "tight", "fall", "gadgets"}
      SOLVERS - {"patterns"}),
     (["classify", "{c3}", "--problem", "fall"], {"cli", "graphs", "io", "patterns"},
      SOLVERS - {"patterns"}),
-    (["tightb", "{c3}"], {"tight"}, {"gadgets", "fall"}),
-    (["fall", "{c3}"], {"fall"}, {"gadgets", "tight"}),
+    (["tightb", "{c3}"], {"tight"}, {"gadgets", "fall", "oracles"}),
+    (["fall", "{c3}"], {"fall"}, {"gadgets", "tight", "oracles"}),
     (["show", "petersen"], {"gadgets"}, {"tight", "fall"}),
-], ids=["analyze", "hfree", "classify", "tightb", "fall", "show"])
+    (["tightb", "{p5p1}"], {"tight", "oracles"}, {"gadgets", "fall"}),
+    (["fall", "{petersen}"], {"fall", "oracles"}, {"gadgets", "tight"}),
+], ids=["analyze", "hfree", "classify", "tightb", "fall", "show", "tightb-oracle", "fall-oracle"])
 def test_each_command_imports_only_what_it_runs(files, argv, loaded, absent):
     """A fresh process running one command loads the package modules that
-    the command's work runs, and none of ``absent``."""
+    the command's work runs, and none of ``absent``: ``tightb`` and
+    ``fall`` load ``oracles`` only on an input that falls back to it.  No
+    command imports ``dataclasses`` or the ``inspect`` it would pull in,
+    which together cost about 7 ms of a cold start; the probe counts only
+    what the command adds to the modules the interpreter started with."""
     import os
     import subprocess
     import sys
     from pathlib import Path
 
     import bchromatic
-    probe = ("import sys, bchromatic.cli; bchromatic.cli.main(sys.argv[1:]); "
-             "print(*sorted(m for m in sys.modules if m.startswith('bchromatic.')))")
+    probe = ("import sys; before = set(sys.modules); import bchromatic.cli; "
+             "bchromatic.cli.main(sys.argv[1:]); print(*sorted(set(sys.modules) - before))")
     env = dict(os.environ, PYTHONPATH=str(Path(bchromatic.__file__).parent.parent))
     out = files["dir"] / "report.json"
     extra = [] if argv[0] == "show" else ["--out", str(out)]
     proc = subprocess.run([sys.executable, "-c", probe,
-                           *[a.replace("{c3}", files["c3"]) for a in argv], *extra],
+                           *[a.format(**files) for a in argv], *extra],
                           capture_output=True, text=True, env=env, check=True)
-    modules = {m.removeprefix("bchromatic.") for m in proc.stdout.splitlines()[-1].split()}
+    added = set(proc.stdout.splitlines()[-1].split())
+    modules = {m.removeprefix("bchromatic.") for m in added if m.startswith("bchromatic.")}
     assert loaded <= modules and not modules & absent, sorted(modules)
+    assert not added & {"dataclasses", "inspect"}, sorted(added)
 
 
 def test_one_in_three_over_the_fall_oracle_limit(files, capsys):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bchromatic import fall
+from bchromatic import fall, oracles
 from bchromatic.cli import main
 from bchromatic.fall import fall_uniqueness_report
 from bchromatic.gadgets import crown_graph
@@ -230,7 +230,7 @@ def test_cographs_never_reach_the_oracle(rng, n):
     def refuse(*args, **kwargs):
         raise AssertionError("the split reached the oracle")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fall, "fall_spectrum", refuse)
+        mp.setattr(oracles, "fall_spectrum", refuse)
         rep = fall_uniqueness_report(g)
     assert rep.path in ("(P3+P1)-free", "modular")
     assert (rep.path == "(P3+P1)-free") == (p3p1_decomposition(g) is not None), g.adj

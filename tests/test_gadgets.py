@@ -6,6 +6,7 @@ import pytest
 
 from bchromatic.gadgets import (EDGE3COL_VARIANTS, FORMULA_N3_SATISFIABLE,
                                 FORMULA_N6_UNSATISFIABLE, TRIANGLE_FREE_FALL_GADGET,
+                                ReductionCertificate,
                                 assignment_to_fall_colouring,
                                 cobipartite_hardness_instance, crown_graph,
                                 edge3col_instance,
@@ -13,11 +14,11 @@ from bchromatic.gadgets import (EDGE3COL_VARIANTS, FORMULA_N3_SATISFIABLE,
                                 fall_gadget_union, odd_crown_graph,
                                 one_in_three_graph, petersen_graph,
                                 prism_graph, verify_reduction)
-from bchromatic.graphs import (Graph, GraphError, analyze_tight,
+from bchromatic.graphs import (Graph, GraphError, NotCubicError, analyze_tight,
                                disjoint_union, is_fall_colouring,
                                is_tight_b_colouring)
 from bchromatic.io import graph_digest
-from bchromatic.oracles import (NotCubicError, clique_number, fall_spectrum,
+from bchromatic.oracles import (clique_number, fall_spectrum,
                                 one_in_three_sat, three_edge_colouring, tight_b_exact)
 from bchromatic.patterns import contains_induced, is_free, pattern_graph
 
@@ -251,3 +252,21 @@ def test_verify_reduction_petersen_backward():
     assert cert.forward_note == "source has no 3-edge-colouring"
     assert cert.backward_note in ("tight b-colouring search: absent",
                                   "tight b-colouring search: inconclusive")
+
+
+def test_reduction_certificate_is_a_mutable_record():
+    """Certificates compare by every field and show each, but are filled in
+    as the checks run: fields may be assigned, other names may not, and
+    there is no hash."""
+    a, b = (ReductionCertificate(Graph(1, (0,)), [("ok", True)]) for _ in range(2))
+    assert a is not b and a == b
+    assert repr(a) == ("ReductionCertificate(instance=Graph(n=1, adj=(0,)), "
+                       "structural_checks=[('ok', True)], forward_witness=None, "
+                       "forward_note='', backward_note='', measurements={}, "
+                       "equivalence_status='structural-only', inconsistent=False)")
+    with pytest.raises(TypeError):
+        hash(a)
+    a.inconsistent = True
+    assert a != b and a.inconsistent
+    with pytest.raises(AttributeError):
+        a.extra = 0

@@ -1,17 +1,20 @@
 """Core graph type, operators, m-degree analysis and colouring validators."""
 
+import copy
+import pickle
 import random
 import re
 
 import pytest
 
-from bchromatic.graphs import (Colouring, ColouringError, Graph, GraphError,
+from bchromatic.graphs import (Colouring, ColouringError, FallSpectrum, Graph, GraphError,
                                ImproperColouringError, _b_vertices, analyze_tight,
                                co_components, complete_join, disjoint_union,
                                is_b_chromatic_vertex, is_b_colouring, is_fall_colouring,
                                is_maximal_independent_set, is_tight_b_colouring,
                                m_degree, proper_violation)
 from bchromatic.gadgets import crown_graph, odd_crown_graph
+from bchromatic.io import Formula33
 from bchromatic.patterns import pattern_graph
 
 from helpers import is_isomorphic, random_graph
@@ -278,3 +281,35 @@ def test_tight_b_colouring_validator():
     assert is_tight_b_colouring(k3, Colouring.from_values([1, 2, 3]))
     c4 = pattern_graph("C4")
     assert not is_tight_b_colouring(c4, Colouring.from_values([1, 2, 1, 2]))
+
+
+@pytest.mark.parametrize("make, text", [
+    (lambda: Graph(2, (2, 1)), "Graph(n=2, adj=(2, 1))"),
+    (lambda: Colouring((1, 2, 1), 2), "Colouring(colours=(1, 2, 1), k=2)"),
+    (lambda: Formula33(3, ((0, 1, 2),) * 3),
+     "Formula33(variables=3, clauses=((0, 1, 2), (0, 1, 2), (0, 1, 2)))"),
+    (lambda: FallSpectrum((1,), {1: Colouring((1,), 1)}),
+     "FallSpectrum(values=(1,), witnesses={1: Colouring(colours=(1,), k=1)})"),
+], ids=["Graph", "Colouring", "Formula33", "FallSpectrum"])
+def test_value_classes_are_immutable_values(make, text):
+    """Equal values from separate calls compare and hash alike, show every
+    field, survive a copy and a pickle, and refuse assignment; a value is
+    never equal to the tuple of its fields."""
+    a, b = make(), make()
+    assert a is not b and a == b and not a != b and hash(a) == hash(b)
+    assert repr(a) == text
+    assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
+    field = type(a).__slots__[0]
+    fields = tuple(getattr(a, f) for f in type(a).__slots__)
+    for change in (lambda: setattr(a, field, 0), lambda: delattr(a, field),
+                   lambda: setattr(a, "extra", 0)):
+        with pytest.raises(AttributeError):
+            change()
+    assert a == b and a != fields
+    assert Graph(2, (2, 1)) != (2, (2, 1)) and Graph(2, (2, 1)) != Graph(2, (2, 0))
+
+
+def test_fall_spectrum_compares_values_only():
+    bare, witnessed = FallSpectrum((1,)), FallSpectrum((1,), {1: Colouring((1,), 1)})
+    assert bare.witnesses == {} and bare == witnessed and hash(bare) == hash(witnessed)
+    assert FallSpectrum((1,)) != FallSpectrum((1, 2))

@@ -14,12 +14,11 @@ from bchromatic import io
 from bchromatic.gadgets import FORMULA_N6_UNSATISFIABLE, petersen_graph
 from bchromatic.graphs import Graph, GraphError
 from bchromatic.io import (MAX_VERTICES, ParseError, graph_digest, load_graph,
-                           parse_dimacs, parse_edge_list, parse_formula,
-                           write_dimacs, write_edge_list, write_formula)
+                           parse_dimacs, parse_edge_list, parse_formula, write_dimacs)
 from bchromatic.oracles import FormulaError
 from bchromatic.patterns import pattern_graph
 
-from helpers import naive_edges, naive_write_dimacs, random_graph
+from helpers import naive_edges, naive_write_dimacs, random_graph, write_edge_list, write_formula
 
 
 def test_dimacs_round_trip():

@@ -6,10 +6,10 @@ from bchromatic.gadgets import crown_graph, petersen_graph
 import pytest
 
 from bchromatic.graphs import Graph, GraphError
-from bchromatic.matching import check_matching, maximum_matching, perfect_matching
+from bchromatic.matching import maximum_matching, perfect_matching
 from bchromatic.patterns import pattern_graph
 
-from helpers import all_graphs_up_to, brute_max_matching_size, random_graph
+from helpers import all_graphs_up_to, brute_max_matching_size, check_matching, random_graph
 
 
 def test_bipartite_examples():

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from bchromatic.gadgets import (EDGE3COL_VARIANTS, FORMULA_N3_SATISFIABLE,
                                 edge3col_instance, odd_crown_graph,
                                 petersen_graph, prism_graph)
-from bchromatic.graphs import (Colouring, Graph, _b_vertices, analyze_tight,
+from bchromatic.graphs import (Colouring, Graph, NotCubicError, NotTightError, _b_vertices,
+                               analyze_tight,
                                is_b_chromatic_vertex, is_b_colouring, is_fall_colouring,
                                is_maximal_independent_set, is_tight_b_colouring,
                                m_degree, proper_violation)
-from bchromatic.oracles import (BudgetExceededError, Formula33, FormulaError,
-                                NotCubicError, NotTightError, TightSearch,
+from bchromatic.oracles import (BudgetExceededError, Formula33, FormulaError, TightSearch,
                                 _b_vertex_prune, _colour_search,
                                 b_chromatic_number, b_colouring_with,
                                 chromatic_number, clique_number, fall_spectrum,

@@ -10,11 +10,11 @@ import pytest
 from bchromatic.graphs import Graph, bits, co_components
 from bchromatic.patterns import (PatternError, Verdict, _ClosedNeighbourhoods,
                                  _closed_non_neighbourhoods, _peel, classify, contains_induced,
-                                 has_independent_triple, is_complete_multipartite, is_free,
-                                 is_induced_subgraph_of, is_linear_forest, is_union_of_cliques,
+                                 has_independent_triple, is_free, is_induced_subgraph_of,
                                  p3p1_decomposition, pattern_graph)
 
-from helpers import (all_graphs, all_graphs_up_to, naive_contains_induced, random_graph,
+from helpers import (all_graphs, all_graphs_up_to, is_complete_multipartite, is_linear_forest,
+                     is_union_of_cliques, naive_contains_induced, random_graph,
                      reference_contains_induced, reference_witness_table, tight_2p2p1_family)
 
 
@@ -198,6 +198,21 @@ def test_freeness_proofs_need_no_search(monkeypatch):
     assert family.n == 321
     assert is_free(family, "2P2+P1")
     assert is_free(gadget, "2P3")
+
+
+def test_too_few_edges_or_non_edges_need_no_proof(monkeypatch):
+    """A host with fewer edges, or fewer non-edges, than the pattern holds
+    no copy of it, and is answered before the peel or the search runs."""
+    from bchromatic import patterns
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the peel or the search ran")
+
+    monkeypatch.setattr(patterns, "_peel", refuse)
+    monkeypatch.setattr(patterns, "_embed", refuse)
+    assert is_free(Graph.empty(2000), "2P3")
+    assert is_free(pattern_graph("K40"), "2P2+P1")
+    assert is_free(pattern_graph("3P2"), "2P3")
 
 
 def test_clique_partition_stores_no_mask_per_vertex():

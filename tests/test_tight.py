@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bchromatic.graphs import (Colouring, Graph, analyze_tight, co_components,
+from bchromatic.graphs import (Colouring, Graph, NotTightError, analyze_tight, co_components,
                                disjoint_union, is_tight_b_colouring)
-from bchromatic.oracles import NotTightError, tight_b_exact
+from bchromatic.oracles import tight_b_exact
 from bchromatic.patterns import p3p1_decomposition, pattern_graph
 from bchromatic.tight import (PartialViolation, PreconditionError,
                               boundary_forcings, dense_partition,
