@@ -15,8 +15,9 @@ Each command imports only the modules it runs: its solver inside its
 ``cmd_*`` function, and the tables behind ``kind`` and ``--problem`` only
 when a value is checked, so ``analyze`` loads ``graphs`` and ``io`` alone.
 ``tightb`` and ``fall`` load ``oracles`` only when an input falls back to
-it, and no command imports ``dataclasses`` (nor the ``inspect`` it pulls
-in): the records are ``NamedTuple``s or classes with ``__slots__``.
+it, an error report loads no module, and no command imports
+``dataclasses`` (nor the ``inspect`` it pulls in): the records are
+``NamedTuple``s or classes with ``__slots__``.
 Where no bytecode cache is written (a read-only install,
 ``PYTHONDONTWRITEBYTECODE``), every fresh process compiles each module it
 imports from source, and for a small input that is most of a command's time.
@@ -366,9 +367,11 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout = open(os.devnull, "w")
         return EXIT_CODES["error"]
     except Exception as exc:
-        # the types a user's input raises keep their bare message
-        from .oracles import BudgetExceededError
-        known = isinstance(exc, (BudgetExceededError, ValueError, OSError))
+        # the types a user's input raises keep their bare message; only an
+        # oracle that ran, so only a loaded oracle module, exceeds a budget
+        oracles = sys.modules.get(f"{__package__}.oracles")
+        budget = (oracles.BudgetExceededError,) if oracles else ()
+        known = isinstance(exc, (ValueError, OSError, *budget))
         report = {"schema": 1, "status": "error",
                   "error": str(exc) if known else f"{type(exc).__name__}: {exc}"}
         try:

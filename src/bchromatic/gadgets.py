@@ -329,21 +329,15 @@ class ReductionCertificate(_Record):
 
     __slots__ = ("instance", "structural_checks", "forward_witness", "forward_note",
                  "backward_note", "measurements", "equivalence_status", "inconsistent")
-    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
-    def __init__(self, instance: Graph, structural_checks: list[tuple[str, bool]],
-                 forward_witness: Colouring | None = None, forward_note: str = "",
-                 backward_note: str = "", measurements: dict[str, Any] | None = None,
-                 equivalence_status: str = "structural-only",
-                 inconsistent: bool = False):
+    def __init__(self, instance: Graph, structural_checks: list[tuple[str, bool]]):
         self.instance = instance
         self.structural_checks = structural_checks
-        self.forward_witness = forward_witness
-        self.forward_note = forward_note
-        self.backward_note = backward_note
-        self.measurements = {} if measurements is None else measurements
-        self.equivalence_status = equivalence_status
-        self.inconsistent = inconsistent
+        self.forward_witness: Colouring | None = None
+        self.forward_note = self.backward_note = ""
+        self.measurements: dict[str, Any] = {}
+        self.equivalence_status = "structural-only"
+        self.inconsistent = False
 
     def structurally_sound(self) -> bool:
         return all(ok for _, ok in self.structural_checks)

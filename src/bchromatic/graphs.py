@@ -73,11 +73,10 @@ _set = object.__setattr__
 
 
 class _Record:
-    """A value whose fields are its ``__slots__``, set once by ``__init__``
-    through ``_set``: assigning or deleting a field raises AttributeError.
-    It equals, and hashes like, a value of its own class with the same
-    ``_key()`` (every field unless the class says otherwise), and its repr
-    names every field."""
+    """A record whose fields are its ``__slots__``.  It equals a record of
+    its own class with the same ``_key()`` (every field unless the class
+    says otherwise), and its repr names every field.  Its fields may be
+    assigned, so it has no hash; ``_Value`` is the frozen kind."""
 
     __slots__ = ()
 
@@ -91,12 +90,20 @@ class _Record:
             return NotImplemented
         return self._key() == other._key()
 
-    def __hash__(self):
-        return hash(self._key())
-
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
         return f"{type(self).__name__}({fields})"
+
+
+class _Value(_Record):
+    """A record whose fields are set once by ``__init__`` through ``_set``:
+    assigning or deleting a field raises AttributeError.  It hashes by
+    ``_key()``, and copy and pickle rebuild it through ``__init__``."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __reduce__(self):
         return type(self), self._fields()
@@ -107,7 +114,7 @@ class _Record:
     __delattr__ = __setattr__
 
 
-class Graph(_Record):
+class Graph(_Value):
     """Immutable simple graph on vertices 0..n-1 with bitmask adjacency."""
 
     __slots__ = ("n", "adj")
@@ -117,15 +124,6 @@ class Graph(_Record):
     def __init__(self, n: int, adj: tuple[int, ...]):
         _set(self, "n", n)
         _set(self, "adj", adj)
-
-    # written out, not ``_key``: graphs are dictionary keys and compared often
-    def __eq__(self, other):
-        if other.__class__ is not Graph:
-            return NotImplemented
-        return self.n == other.n and self.adj == other.adj
-
-    def __hash__(self):
-        return hash((self.n, self.adj))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -317,7 +315,7 @@ def _require_cubic(g: Graph) -> None:
 # -- colourings ------------------------------------------------------------
 
 
-class Colouring(_Record):
+class Colouring(_Value):
     """Total colouring with colours 1..k, every colour used, which the
     constructor checks.
 
@@ -361,7 +359,7 @@ class Colouring(_Record):
         return _class_masks(enumerate(self.colours), self.k)
 
 
-class FallSpectrum(_Record):
+class FallSpectrum(_Value):
     """Achievable fall-colouring sizes with one witness per size; equal
     spectra have the same values, whatever their witnesses."""
 

@@ -31,7 +31,7 @@ import hashlib
 from itertools import compress
 from pathlib import Path
 
-from .graphs import Graph, GraphError, _Record, _set
+from .graphs import Graph, GraphError, _Value, _set
 
 
 # Largest vertex count a graph file may give, by a header or a vertex index:
@@ -61,7 +61,7 @@ class FormulaError(ValueError):
     pass
 
 
-class Formula33(_Record):
+class Formula33(_Value):
     """Positive 3-literal clauses, every variable in exactly three clauses,
     and as many clauses as variables."""
 

@@ -35,9 +35,12 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .graphs import (Colouring, FallSpectrum, Graph, _require_cubic, _require_tight, bits,
+# NotCubicError, NotTightError and FormulaError, which these oracles raise,
+# stay importable from here
+from .graphs import (Colouring, FallSpectrum, Graph, NotCubicError,  # noqa: F401
+                     NotTightError, _require_cubic, _require_tight, bits,
                      is_maximal_independent_set, m_degree)
-from .io import Formula33, FormulaError  # noqa: F401  (FormulaError kept importable here)
+from .io import Formula33, FormulaError  # noqa: F401
 from .matching import maximum_matching
 
 DEFAULT_NP_BUDGET = 16

@@ -36,6 +36,9 @@ def files(tmp_path):
     formula = tmp_path / "f3.cnf13"
     formula.write_text(write_formula(Formula33(3, ((0, 1, 2),) * 3)))
     out["f3"] = str(formula)
+    bad = tmp_path / "bad.col"
+    bad.write_text("p edge 3 1\ne 1 x\n")
+    out["bad"] = str(bad)
     out["dir"] = tmp_path
     return out
 
@@ -264,6 +267,10 @@ def test_package_names_resolve_on_first_access():
         assert getattr(bchromatic, name) is not None, name
     with pytest.raises(AttributeError, match="has no attribute 'nosuch'"):
         bchromatic.nosuch
+    # the exceptions the oracles raise are still importable from oracles
+    from bchromatic import graphs, io, oracles
+    assert (oracles.NotCubicError, oracles.NotTightError, oracles.FormulaError) == (
+        graphs.NotCubicError, graphs.NotTightError, io.FormulaError)
 
 
 @pytest.mark.parametrize("argv, error", [
@@ -305,7 +312,7 @@ def test_oracle_budget_env(files, capsys, monkeypatch):
     path = files["dir"] / "big.col"
     path.write_text(write_dimacs(big))
     code, rep = run(capsys, "oracle", "chromatic", str(path))
-    assert code == 3
+    assert code == 3 and rep["error"] == "chromatic oracle limited to n<=16, got n=20"
     monkeypatch.setenv("ORACLE_BUDGET", "25")
     code, rep = run(capsys, "oracle", "chromatic", str(path))
     assert code == 0 and rep["value"] == 1
@@ -456,11 +463,14 @@ SOLVERS = {"oracles", "matching", "patterns", "tight", "fall", "gadgets"}
     (["show", "petersen"], {"gadgets"}, {"tight", "fall"}),
     (["tightb", "{p5p1}"], {"tight", "oracles"}, {"gadgets", "fall"}),
     (["fall", "{petersen}"], {"fall", "oracles"}, {"gadgets", "tight"}),
-], ids=["analyze", "hfree", "classify", "tightb", "fall", "show", "tightb-oracle", "fall-oracle"])
+    (["analyze", "{bad}"], {"cli", "graphs", "io"}, SOLVERS),
+], ids=["analyze", "hfree", "classify", "tightb", "fall", "show", "tightb-oracle", "fall-oracle",
+        "analyze-error"])
 def test_each_command_imports_only_what_it_runs(files, argv, loaded, absent):
     """A fresh process running one command loads the package modules that
     the command's work runs, and none of ``absent``: ``tightb`` and
-    ``fall`` load ``oracles`` only on an input that falls back to it.  No
+    ``fall`` load ``oracles`` only on an input that falls back to it, and
+    an error report loads nothing more than the failed command did.  No
     command imports ``dataclasses`` or the ``inspect`` it would pull in,
     which together cost about 7 ms of a cold start; the probe counts only
     what the command adds to the modules the interpreter started with."""

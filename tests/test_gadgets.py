@@ -1,5 +1,7 @@
 """Hardness constructions: structure, witness maps, and certificates."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -257,9 +259,12 @@ def test_verify_reduction_petersen_backward():
 def test_reduction_certificate_is_a_mutable_record():
     """Certificates compare by every field and show each, but are filled in
     as the checks run: fields may be assigned, other names may not, and
-    there is no hash."""
+    there is no hash.  A copy and a pickle keep every field."""
     a, b = (ReductionCertificate(Graph(1, (0,)), [("ok", True)]) for _ in range(2))
     assert a is not b and a == b
+    a.measurements["n"] = 1
+    assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a and a != b
+    del a.measurements["n"]
     assert repr(a) == ("ReductionCertificate(instance=Graph(n=1, adj=(0,)), "
                        "structural_checks=[('ok', True)], forward_witness=None, "
                        "forward_note='', backward_note='', measurements={}, "
