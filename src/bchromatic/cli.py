@@ -36,7 +36,8 @@ from pathlib import Path
 
 from . import __version__
 from .graphs import (Colouring, Graph, NotTightError, analyze_tight, bits, co_components,
-                     is_fall_colouring, is_tight_b_colouring)
+                     is_b_colouring, is_fall_colouring, is_tight_b_colouring,
+                     proper_violation)
 from .io import (graph_digest, load_formula, load_graph, write_dimacs)
 
 # report status -> exit code
@@ -192,9 +193,13 @@ def cmd_oracle(args) -> int:
         rep["digest"] = graph_digest(g)
         if args.which == "chromatic":
             value, col = chromatic_number(g, budget=budget)
+            if proper_violation(g, col) is not None or col.k != value:
+                raise ValueError("the chromatic oracle returned an invalid colouring")
             witness = _witness(col)
         elif args.which == "bchromatic":
             value, col = b_chromatic_number(g, budget=budget)
+            if not (is_b_colouring(g, col) and col.k == value):
+                raise ValueError("the b-chromatic oracle returned an invalid b-colouring")
             witness = _witness(col)
         elif args.which == "tightb":
             res = tight_b_exact(g, node_budget=args.budget)

@@ -303,21 +303,23 @@ def b_colouring_with(g: Graph, k: int, *, budget: int | None = None) -> Colourin
 
 
 def b_chromatic_number(g: Graph, *, budget: int | None = None) -> tuple[int, Colouring]:
-    """Largest k admitting a b-colouring with exactly k colours, and the
-    witness ``b_colouring_with(g, k)``.
+    """Largest k admitting a b-colouring with exactly k colours, and a
+    b-colouring with k colours as witness.
 
-    k runs down from the m-degree, searched in order of decreasing degree,
-    which refutes a k above the b-chromatic number far sooner than index
-    order.  The first k found is searched once more in index order for
-    the witness.  Both searches take the b-vertex prune as their one node
-    test: it cuts no b-colouring, and at a leaf it accepts exactly the
-    b-colourings, so the witness is the first b-colouring with k colours
-    in lexicographic order.  k = 0 is reached only on the empty graph."""
+    k runs down from the m-degree, each searched once in order of
+    decreasing degree (lowest index on ties), which refutes a k above the
+    b-chromatic number far sooner than index order.  The search takes the
+    b-vertex prune as its one node test: it cuts no b-colouring, and at a
+    leaf it accepts exactly the b-colourings, so the first k found is b(G)
+    and its witness is the first b-colouring along that order.
+    ``b_colouring_with(g, k)`` gives the first one in index order instead.
+    k = 0 is reached only on the empty graph."""
     _past_limit(g.n, budget, DEFAULT_NP_BUDGET, "b-colouring")
     by_degree = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     for k in range(m_degree(g), -1, -1):
-        if _b_colouring(g, k, by_degree) is not None:
-            return k, b_colouring_with(g, k, budget=budget)
+        found = _b_colouring(g, k, by_degree)
+        if found is not None:
+            return k, Colouring.from_class_masks(g.n, found)
     raise AssertionError("unreachable: every graph has a b-colouring")
 
 

@@ -269,7 +269,11 @@ def contains_induced(g: Graph, h: Graph) -> tuple[int, ...] | None:
     the possible edges the search runs on the complements, which leaves the
     witness unchanged and keeps the dense hardness instances cheap to check.
     A host with fewer edges, or fewer non-edges, than the pattern is
-    answered None before either.
+    answered None before either.  When the pattern has no isolated vertex,
+    no embedding reaches an isolated host vertex, so those are dropped from
+    the host before the proof and the search; the rest keep their order,
+    and the density of the whole host still chooses the search order, so
+    the witness is unchanged.
     """
     if h.n > g.n:
         return None
@@ -279,6 +283,10 @@ def contains_induced(g: Graph, h: Graph) -> tuple[int, ...] | None:
     h_edges = h.edge_count()
     if h_edges > edges or h.n * (h.n - 1) // 2 - h_edges > pairs - edges:
         return None
+    hosts = None
+    if 0 in g.adj and 0 not in h.adj:
+        hosts = [v for v, a in enumerate(g.adj) if a]
+        g = g.subgraph(hosts)
     proof = _FREENESS_PROOFS.get(h)
     if proof is not None and proof(g):
         return None
@@ -290,7 +298,7 @@ def contains_induced(g: Graph, h: Graph) -> tuple[int, ...] | None:
         return None
     witness = [0] * h.n
     for v, x in zip(plan.order, images):
-        witness[v] = x
+        witness[v] = x if hosts is None else hosts[x]
     return tuple(witness)
 
 

@@ -19,7 +19,7 @@ from bchromatic.graphs import (Graph, analyze_tight, is_b_colouring,
                                is_fall_colouring, is_tight_b_colouring,
                                m_degree, proper_violation)
 from bchromatic.matching import maximum_matching
-from bchromatic.oracles import (b_chromatic_number, chromatic_number,
+from bchromatic.oracles import (b_chromatic_number, b_colouring_with, chromatic_number,
                                 fall_spectrum, three_edge_colouring,
                                 tight_b_exact)
 from bchromatic.patterns import Verdict, classify, is_free, pattern_graph
@@ -42,8 +42,11 @@ def _line(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 def test_criterion_1_observation_sweep():
     """chi <= phi <= m and nonempty F => chi <= min F <= max F <= delta+1,
-    over all 32768 labeled graphs on 6 vertices; the values and witnesses of
-    the chromatic and b-chromatic oracles against a recorded digest."""
+    over all 32768 labeled graphs on 6 vertices; the values of the
+    chromatic and b-chromatic oracles, the chromatic witness and the
+    index-order b-colouring ``b_colouring_with(g, phi)`` against a recorded
+    digest.  The b-chromatic witness is checked on its own, and no
+    b-colouring has phi + 1 colours."""
     violations = 0
     count = 0
     digest = hashlib.sha256()
@@ -51,8 +54,10 @@ def test_criterion_1_observation_sweep():
         count += 1
         chi, chi_w = chromatic_number(g)
         phi, phi_w = b_chromatic_number(g)
-        digest.update(repr((g.adj, chi, chi_w.colours, phi, phi_w.colours)).encode())
-        if not chi <= phi <= m_degree(g):
+        first = b_colouring_with(g, phi)
+        digest.update(repr((g.adj, chi, chi_w.colours, phi, first.colours)).encode())
+        if not (chi <= phi <= m_degree(g) and phi_w.k == phi and is_b_colouring(g, phi_w)
+                and b_colouring_with(g, phi + 1) is None):
             violations += 1
             continue
         spectrum = fall_spectrum(g)

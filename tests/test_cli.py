@@ -449,6 +449,29 @@ def test_fall_rejects_an_invalid_witness(files, capsys, monkeypatch, name, colou
     assert code == 3 and rep == {"schema": 1, "status": "error", "error": error}
 
 
+@pytest.mark.parametrize("which, oracle, value, colours, error", [
+    ("bchromatic", "b_chromatic_number", 2, (1, 1, 2, 2), "colouring is improper on edge (0, 1)"),
+    ("bchromatic", "b_chromatic_number", 3, (1, 2, 1, 3),
+     "the b-chromatic oracle returned an invalid b-colouring"),
+    ("bchromatic", "b_chromatic_number", 3, (1, 2, 1, 2),
+     "the b-chromatic oracle returned an invalid b-colouring"),
+    ("chromatic", "chromatic_number", 2, (1, 1, 2, 2),
+     "the chromatic oracle returned an invalid colouring"),
+    ("chromatic", "chromatic_number", 3, (1, 2, 1, 2),
+     "the chromatic oracle returned an invalid colouring"),
+])
+def test_oracle_rejects_an_invalid_witness(files, capsys, monkeypatch, which, oracle, value,
+                                           colours, error):
+    """An improper witness, a proper one that is not a b-colouring, and a
+    b-colouring whose colour count is not the value each end in one JSON
+    error with exit 3."""
+    import bchromatic.oracles
+    w = Colouring.from_values(colours)
+    monkeypatch.setattr(bchromatic.oracles, oracle, lambda g, budget: (value, w))
+    code, rep = run(capsys, "oracle", which, files["c4"])
+    assert code == 3 and rep == {"schema": 1, "status": "error", "error": error}
+
+
 SOLVERS = {"oracles", "matching", "patterns", "tight", "fall", "gadgets"}
 
 

@@ -107,10 +107,15 @@ def test_b_chromatic_examples():
 @pytest.mark.parametrize("g", [Graph.empty(0), Graph.empty(1), pattern_graph("P4"),
                                pattern_graph("C5"), odd_crown_graph(3), petersen_graph()])
 def test_b_chromatic_witness_is_b_colouring_with(g):
-    """The witness of b(G) is ``b_colouring_with(g, b)``, on the empty graph
-    too, where k = 0 is the one k below 1 that has a b-colouring."""
+    """The witness of b(G) is a b-colouring with b colours, and
+    ``b_colouring_with`` finds one with b colours and none with b + 1, on
+    the empty graph too, where k = 0 is the one k below 1 that has a
+    b-colouring."""
     b, w = b_chromatic_number(g)
-    assert w == b_colouring_with(g, b) and w.k == b
+    assert is_b_colouring(g, w) and w.k == b
+    first = b_colouring_with(g, b)
+    assert is_b_colouring(g, first) and first.k == b
+    assert b_colouring_with(g, b + 1) is None
     assert b_colouring_with(g, -1) is None
     assert (b_colouring_with(g, 0) is None) == (g.n > 0)
 
@@ -201,13 +206,15 @@ def test_b_vertex_prune_waits_for_vertices_still_to_come():
 
 def test_b_chromatic_number_on_a_hard_16_vertex_graph():
     """Before the b-vertex prune this graph took 25-40 s on a 2-CPU host:
-    every k above b(G) was a full failed search.  Value and witness as
-    recorded then."""
+    every k above b(G) was a full failed search.  Value and index-order
+    witness as recorded then; the witness of b(G) is the first b-colouring
+    along decreasing degree, checked on its own."""
     g = random_graph(random.Random(1), 16, 0.3)
     k, w = b_chromatic_number(g)
     assert k == 5
-    assert w.colours == (1, 2, 1, 1, 2, 3, 3, 1, 3, 4, 3, 3, 5, 4, 5, 5)
-    assert is_b_colouring(g, w)
+    assert b_colouring_with(g, k).colours == (1, 2, 1, 1, 2, 3, 3, 1, 3, 4, 3, 3, 5, 4, 5, 5)
+    assert is_b_colouring(g, w) and w.k == k
+    assert b_colouring_with(g, k + 1) is None
 
 
 def test_budget_errors():

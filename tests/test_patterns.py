@@ -87,6 +87,27 @@ def test_witnesses_match_the_unpruned_search():
             assert contains_induced(g, h) == reference_contains_induced(g, h), (g.adj, h.adj)
 
 
+def test_witnesses_on_hosts_with_isolated_vertices():
+    """A pattern with no isolated vertex is searched on the host without its
+    isolated vertices; mapped back, every witness equals the unpruned
+    search's on the whole host, dense hosts included, whose search order
+    is that of the pattern's complement."""
+    patterns = [pattern_graph(p) for p in ("2P3", "3P2", "2P2", "C5", "claw", "P3+P2", "K3")]
+    rng = random.Random(27)
+    found = dense = 0
+    for _ in range(300):
+        core = random_graph(rng, rng.randint(3, 6), rng.random())
+        n = core.n + rng.randint(1, 3)
+        place = sorted(rng.sample(range(n), core.n))
+        g = Graph.from_edges(n, [(place[u], place[v]) for u, v in core.edges()])
+        dense += 2 * g.edge_count() > n * (n - 1) // 2
+        for h in patterns:
+            got = contains_induced(g, h)
+            assert got == reference_contains_induced(g, h), (g.adj, h.adj)
+            found += got is not None
+    assert found > 100 and dense > 10
+
+
 def test_search_plan_never_lists_the_automorphism_group():
     """12P1 has 12! automorphisms and P1100 is 1100 levels deep; their plans
     come from pinned searches narrowed by vertex labels."""

@@ -37,6 +37,29 @@ def test_compare_reports_exit_codes(tmp_path, capsys):
     assert err == [f"not a directory: {tmp_path / 'typo'}", f"no file in common: {a} and {apart}"]
 
 
+def test_compare_reports_names_the_differing_keys(tmp_path, capsys):
+    """Each differing JSON object is printed with its differing top-level
+    keys, a key on one side only among them, and ``timing_ms`` never; a
+    report that is not an object, and a non-JSON file, with its path
+    alone."""
+    a = _tree(tmp_path / "a", {"out/r.json": {"value": 3, "witness": [1], "timing_ms": 1.0},
+                               "out/s.json": {"value": 3, "status": "ok"},
+                               "out/t.json": [1, 2], "same.json": {"value": 1}})
+    b = _tree(tmp_path / "b", {"out/r.json": {"value": 3, "witness": [2], "timing_ms": 2.0},
+                               "out/s.json": {"value": 4, "error": "x"},
+                               "out/t.json": [2, 1], "same.json": {"value": 1}})
+    Path(a, "out", "u.col").write_text("p edge 1 0\n")
+    Path(b, "out", "u.col").write_text("p edge 2 0\n")
+    assert compare_reports.main(a, b) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "common 5  differ 4  only in A 0  only in B 0",
+        "differs: out/r.json [witness]",
+        "differs: out/s.json [error, status, value]",
+        "differs: out/t.json",
+        "differs: out/u.col",
+    ]
+
+
 _COUNT_SPEC = importlib.util.spec_from_file_location(
     "count_lines", Path(__file__).resolve().parents[1] / "tools" / "count_lines.py")
 count_lines = importlib.util.module_from_spec(_COUNT_SPEC)

@@ -5,11 +5,12 @@
 Every file under A is matched with the file at the same relative path under
 B.  ``.json`` files are compared as parsed JSON with the top-level
 ``timing_ms`` removed; every other file is compared byte for byte.  Prints
-the common, differing and one-sided counts, then each differing and each
-one-sided path.  Exits 1 when a common file differs; files on one side only
-are listed but do not fail the check.  Exits 2 when either argument is not a
-directory or the two trees have no file in common, since such a comparison
-checks nothing.
+the common, differing and one-sided counts, then each differing path, with
+the top-level keys whose values differ when both sides are JSON objects
+(``differs: out/r.json [witness]``), and each one-sided path.  Exits 1 when
+a common file differs; files on one side only are listed but do not fail
+the check.  Exits 2 when either argument is not a directory or the two
+trees have no file in common, since such a comparison checks nothing.
 """
 
 import json
@@ -30,6 +31,15 @@ def _content(path: Path):
     return report
 
 
+def _differing_keys(old, new) -> list[str]:
+    """The top-level keys whose values differ, or are on one side only,
+    when both reports are JSON objects; otherwise none."""
+    if not (isinstance(old, dict) and isinstance(new, dict)):
+        return []
+    return sorted(k for k in old.keys() | new.keys()
+                  if k not in old or k not in new or old[k] != new[k])
+
+
 def main(a: str, b: str) -> int:
     for root in (a, b):
         if not Path(root).is_dir():
@@ -41,12 +51,16 @@ def main(a: str, b: str) -> int:
     if not common:
         print(f"no file in common: {a} and {b}", file=sys.stderr)
         return 2
-    differ = [p for p in common if _content(Path(a, p)) != _content(Path(b, p))]
+    differ = []
+    for p in common:
+        before, after = _content(Path(a, p)), _content(Path(b, p))
+        if before != after:
+            differ.append((p, _differing_keys(before, after)))
     only = [(a, sorted(files[0] - files[1])), (b, sorted(files[1] - files[0]))]
     print(f"common {len(common)}  differ {len(differ)}  "
           f"only in A {len(only[0][1])}  only in B {len(only[1][1])}")
-    for p in differ:
-        print(f"differs: {p}")
+    for p, keys in differ:
+        print(f"differs: {p}" + (f" [{', '.join(keys)}]" if keys else ""))
     for root, paths in only:
         for p in paths:
             print(f"only in {root}: {p}")
