@@ -11,6 +11,13 @@ it limits the formula's variables); unset, each oracle keeps its own limit.
 that oracle's default of 10^7 when omitted.  Either budget must be a whole
 number >= 0; any other value is an error report that names it.
 
+Every witness a report carries is checked again before it is written: the
+table ``_CHECKS`` maps a report's ``command`` to its checker (the
+validators of ``graphs`` for the colourings, an induced-embedding test for
+``hfree``, and the definitions themselves for ``oracle edge3col`` and
+``oracle 13sat``), and ``_emit`` asks it.  A witness that fails is an error
+report with exit 3.  ``oracle mmm`` reports a size and no witness.
+
 Each command imports only the modules it runs: its solver inside its
 ``cmd_*`` function, and the tables behind ``kind`` and ``--problem`` only
 when a value is checked, so ``analyze`` loads ``graphs`` and ``io`` alone.
@@ -35,10 +42,10 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .graphs import (Colouring, Graph, NotTightError, analyze_tight, bits, co_components,
-                     is_b_colouring, is_fall_colouring, is_tight_b_colouring,
+from .graphs import (Colouring, FallSpectrum, Graph, NotTightError, analyze_tight, bits,
+                     co_components, is_b_colouring, is_fall_colouring, is_tight_b_colouring,
                      proper_violation)
-from .io import (graph_digest, load_formula, load_graph, write_dimacs)
+from .io import (Formula33, graph_digest, load_formula, load_graph, write_dimacs)
 
 # report status -> exit code
 EXIT_CODES = {"ok": 0, "no": 1, "inconclusive": 2, "error": 3}
@@ -60,8 +67,23 @@ def _witness(c: Colouring | None):
     return None if c is None else {"k": c.k, "colours": list(c.colours)}
 
 
-def _emit(report: dict, out: str | None) -> int:
-    """Write the report; the exit code of its status."""
+def _spectrum(spectrum: FallSpectrum) -> tuple[list[int], dict, str]:
+    """The values of a ``FallSpectrum``, its witnesses keyed by k as text, and
+    the report status: "no" when no fall colouring exists."""
+    values = list(spectrum.values)
+    witnesses = {str(k): _witness(c) for k, c in sorted(spectrum.witnesses.items())}
+    return values, witnesses, "ok" if values else "no"
+
+
+def _emit(report: dict, out: str | None, subject=None) -> int:
+    """Check the report's witness against ``subject`` by the ``_CHECKS`` row
+    of its command, raising on a bad one, then write the report; the exit
+    code of its status."""
+    check = _CHECKS.get(report.get("command"))
+    witness = report.get("witness", report.get("witnesses"))
+    if check and witness is not None and not check(subject, witness, report.get("value")):
+        path = f" on the {report['path']} path" if "path" in report else ""
+        raise ValueError(f"{report['command']} returned an invalid witness{path}")
     text = json.dumps(report, indent=2, sort_keys=True)
     if out:
         Path(out).write_text(text + "\n")
@@ -75,6 +97,54 @@ def _report(command: str, path: str, g: Graph | None) -> dict:
     if g is not None:
         rep["digest"] = graph_digest(g)
     return rep
+
+
+def _colouring(w: dict) -> Colouring:
+    return Colouring(tuple(w["colours"]), w["k"])
+
+
+def _is_fall_spectrum(g: Graph, ws: dict, _) -> bool:
+    return all(w["k"] == int(k) and is_fall_colouring(g, _colouring(w)) for k, w in ws.items())
+
+
+def _is_induced_embedding(g: Graph, h: Graph, witness: tuple[int, ...]) -> bool:
+    """Injective, and each pattern vertex's image sees exactly the images of
+    its pattern neighbours among the images: every edge and non-edge kept."""
+    if len(witness) != h.n or len(set(witness)) != h.n or not all(0 <= x < g.n for x in witness):
+        return False
+    image = sum(1 << x for x in witness)
+    return all(g.adj[witness[a]] & image == sum(1 << witness[b] for b in bits(h.adj[a]))
+               for a in range(h.n))
+
+
+def _is_3_edge_colouring(g: Graph, w: dict, _) -> bool:
+    """Every edge "u,v" of g, and nothing else, has one colour in 1..3, and
+    no two edges at a vertex share one."""
+    ends = {f"{u},{v}": (u, v) for u, v in g.edges()}
+    used = {(x, c) for e, c in w.items() if e in ends for x in ends[e]}
+    return w.keys() == ends.keys() and set(w.values()) <= {1, 2, 3} and len(used) == 2 * len(w)
+
+
+def _is_one_in_three(f: Formula33, w: list, _) -> bool:
+    """One truth value per variable, and exactly one true variable per clause."""
+    return len(w) == f.variables and set(w) <= {0, 1} and all(
+        sum(w[x] for x in cl) == 1 for cl in f.clauses)
+
+
+# a report's command -> check(subject, witness, value): whether the witness
+# it reports is valid for the subject (the graph; for hfree the graph and
+# the pattern; for oracle 13sat the formula) and the reported value.
+# _emit asks it of every report with a witness; oracle mmm reports none.
+_CHECKS = {
+    "tightb": lambda g, w, _: is_tight_b_colouring(g, _colouring(w)),
+    "fall": _is_fall_spectrum,
+    "hfree": lambda gh, w, _: _is_induced_embedding(*gh, w),
+    "oracle chromatic": lambda g, w, k: w["k"] == k and proper_violation(g, _colouring(w)) is None,
+    "oracle bchromatic": lambda g, w, k: is_b_colouring(g, _colouring(w)) and w["k"] == k,
+    "oracle edge3col": _is_3_edge_colouring,
+    "oracle 13sat": _is_one_in_three,
+}
+_CHECKS["oracle tightb"], _CHECKS["oracle fall"] = _CHECKS["tightb"], _CHECKS["fall"]
 
 
 def cmd_analyze(args) -> int:
@@ -115,9 +185,7 @@ def cmd_tightb(args) -> int:
         "witness": _witness(res.colouring),
         "status": SEARCH_STATUS[res.status],
     })
-    if res.colouring is not None and not is_tight_b_colouring(g, res.colouring):
-        raise ValueError(f"the {res.path} path returned an invalid tight b-colouring")
-    return _emit(rep, args.out)
+    return _emit(rep, args.out, g)
 
 
 def cmd_fall(args) -> int:
@@ -126,20 +194,18 @@ def cmd_fall(args) -> int:
     rep = _report("fall", args.path, g)
     t0 = time.perf_counter()
     res = fall_uniqueness_report(g, budget=_oracle_budget())
-    values = list(res.spectrum.values)
+    values, witnesses, status = _spectrum(res.spectrum)
     rep.update({
         "path": res.path,
-        "status": "ok" if values else "no",
+        "status": status,
         "spectrum": values,
         "fall_chromatic": values[0] if values else 0,
         "fall_achromatic": values[-1] if values else 0,
         "fall_unique": res.fall_unique,
-        "witnesses": {str(k): _witness(c) for k, c in sorted(res.spectrum.witnesses.items())},
+        "witnesses": witnesses,
         "timing_ms": round(1000 * (time.perf_counter() - t0), 3),
     })
-    if not all(w.k == k and is_fall_colouring(g, w) for k, w in res.spectrum.witnesses.items()):
-        raise ValueError(f"the {res.path} path returned an invalid fall colouring")
-    return _emit(rep, args.out)
+    return _emit(rep, args.out, g)
 
 
 def cmd_classify(args) -> int:
@@ -152,76 +218,53 @@ def cmd_classify(args) -> int:
     return _emit(rep, args.out)
 
 
-def _is_induced_embedding(g: Graph, h: Graph, witness: tuple[int, ...]) -> bool:
-    """Injective, and each pattern vertex's image sees exactly the images of
-    its pattern neighbours among the images: every edge and non-edge kept."""
-    if len(witness) != h.n or len(set(witness)) != h.n or not all(0 <= x < g.n for x in witness):
-        return False
-    image = sum(1 << x for x in witness)
-    return all(g.adj[witness[a]] & image == sum(1 << witness[b] for b in bits(h.adj[a]))
-               for a in range(h.n))
-
-
 def cmd_hfree(args) -> int:
     from .patterns import contains_induced, pattern_graph
     g = load_graph(args.path)
     h = pattern_graph(args.pattern)
     witness = contains_induced(g, h)
-    if witness is not None and not _is_induced_embedding(g, h, witness):
-        raise ValueError(f"the search returned an invalid {args.pattern} witness")
     rep = _report("hfree", args.path, g)
     rep.update({"status": "ok", "pattern": args.pattern, "free": witness is None,
                 "witness": list(witness) if witness else None})
-    return _emit(rep, args.out)
+    return _emit(rep, args.out, (g, h))
 
 
 def cmd_oracle(args) -> int:
     from .oracles import (b_chromatic_number, chromatic_number, fall_spectrum, tight_b_exact,
                           min_maximal_matching_size, one_in_three_sat, three_edge_colouring)
-    rep = {"schema": 1, "command": f"oracle {args.which}", "input": args.path}
     t0 = time.perf_counter()
     status, value, witness, nodes = "ok", None, None, None
     budget = _oracle_budget()
-    if args.which == "13sat":
-        f = load_formula(args.path)
-        assignment = one_in_three_sat(f, budget=budget)
+    sat = args.which == "13sat"
+    subject = load_formula(args.path) if sat else load_graph(args.path)
+    rep = _report(f"oracle {args.which}", args.path, None if sat else subject)
+    if sat:
+        assignment = one_in_three_sat(subject, budget=budget)
         value = assignment is not None
         witness = None if assignment is None else list(assignment)
         status = "ok" if value else "no"
-    else:
-        g = load_graph(args.path)
-        rep["digest"] = graph_digest(g)
-        if args.which == "chromatic":
-            value, col = chromatic_number(g, budget=budget)
-            if proper_violation(g, col) is not None or col.k != value:
-                raise ValueError("the chromatic oracle returned an invalid colouring")
-            witness = _witness(col)
-        elif args.which == "bchromatic":
-            value, col = b_chromatic_number(g, budget=budget)
-            if not (is_b_colouring(g, col) and col.k == value):
-                raise ValueError("the b-chromatic oracle returned an invalid b-colouring")
-            witness = _witness(col)
-        elif args.which == "tightb":
-            res = tight_b_exact(g, node_budget=args.budget)
-            status = SEARCH_STATUS[res.status]
-            value = res.status == "found"
-            witness, nodes = _witness(res.colouring), res.nodes
-        elif args.which == "fall":
-            spectrum = fall_spectrum(g, budget=budget)
-            value = list(spectrum.values)
-            witness = {str(k): _witness(c) for k, c in sorted(spectrum.witnesses.items())}
-            status = "ok" if value else "no"
-        elif args.which == "edge3col":
-            ec = three_edge_colouring(g, budget=budget)
-            value = ec is not None
-            witness = None if ec is None else {f"{u},{v}": c for (u, v), c in sorted(ec.items())}
-            status = "ok" if value else "no"
-        elif args.which == "mmm":
-            value = min_maximal_matching_size(g, budget=budget)
+    elif args.which in ("chromatic", "bchromatic"):
+        oracle = chromatic_number if args.which == "chromatic" else b_chromatic_number
+        value, col = oracle(subject, budget=budget)
+        witness = _witness(col)
+    elif args.which == "tightb":
+        res = tight_b_exact(subject, node_budget=args.budget)
+        status = SEARCH_STATUS[res.status]
+        value = res.status == "found"
+        witness, nodes = _witness(res.colouring), res.nodes
+    elif args.which == "fall":
+        value, witness, status = _spectrum(fall_spectrum(subject, budget=budget))
+    elif args.which == "edge3col":
+        ec = three_edge_colouring(subject, budget=budget)
+        value = ec is not None
+        witness = None if ec is None else {f"{u},{v}": c for (u, v), c in sorted(ec.items())}
+        status = "ok" if value else "no"
+    elif args.which == "mmm":
+        value = min_maximal_matching_size(subject, budget=budget)
     rep.update({"status": status, "value": value, "witness": witness,
                 "nodes_explored": nodes,
                 "timing_ms": round(1000 * (time.perf_counter() - t0), 3)})
-    return _emit(rep, args.out)
+    return _emit(rep, args.out, subject)
 
 
 def _reduction(args, **kw) -> tuple:

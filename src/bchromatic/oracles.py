@@ -10,9 +10,9 @@ leaves included, and may cut only subtrees that hold no leaf it accepts.
 The b-colouring search's test cuts a node once some class can no longer
 get a b-vertex; at a leaf, where every vertex is coloured, that is exact:
 it accepts the b-colourings and nothing else, so it is the search's only
-b-vertex test.  The b-chromatic number refutes each k above it in order
-of decreasing degree and takes the witness from one search in index
-order.  One exact-cover
+b-vertex test.  The b-chromatic number runs one search per k, from the
+m-degree down, each in order of decreasing degree: the searches above b(G)
+fail, and the one that succeeds at b(G) gives the witness.  One exact-cover
 search, ``_exact_covers``, serves fall spectra (partitions of V into
 maximal independent sets) and 1-in-3 satisfiability (partitions of the
 clauses into the clause sets of the true variables).  The rest:

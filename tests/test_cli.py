@@ -10,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bchromatic.cli import build_parser, main
+from bchromatic.fall import FallUniqueness
 from bchromatic.gadgets import REDUCTIONS, petersen_graph
-from bchromatic.graphs import (Colouring, Graph, is_fall_colouring, is_tight_b_colouring,
-                               proper_violation)
+from bchromatic.graphs import (Colouring, FallSpectrum, Graph, is_fall_colouring,
+                               is_tight_b_colouring, proper_violation)
 from bchromatic.io import graph_digest, parse_dimacs, write_dimacs
-from bchromatic.oracles import Formula33
+from bchromatic.oracles import Formula33, TightSearch
 from bchromatic.patterns import pattern_graph
+from bchromatic.tight import TightSolve
 
 from helpers import (circular_ladder, cyclic_formula, footnote_graph, k4_free_complement,
                      write_formula)
@@ -425,51 +427,79 @@ def test_hfree_pattern_of_many_copies(files, capsys):
     assert code == 0 and rep["status"] == "ok" and rep["free"]
 
 
-def test_hfree_rejects_an_invalid_witness(files, capsys, monkeypatch):
-    import bchromatic.patterns
-    monkeypatch.setattr(bchromatic.patterns, "contains_induced", lambda g, h: (0, 1, 2, 3))
-    code, rep = run(capsys, "hfree", files["p5"], "--pattern", "2P2")
-    assert code == 3 and rep["status"] == "error" and "invalid 2P2 witness" in rep["error"]
+# a witness each command's solver never returns, replaced into the solver
+# the command runs: (argv, module, solver, what it returns, error text)
+BAD_WITNESSES = [
+    (["hfree", "{p5}", "--pattern", "2P2"], "patterns", "contains_induced", (0, 1, 2, 3),
+     "hfree returned an invalid witness"),
+    (["fall", "{c3}"], "fall", "fall_uniqueness_report",
+     FallUniqueness(True, FallSpectrum((2,), {2: Colouring.from_values((1, 1, 2))}), "modular"),
+     "colouring is improper on edge (0, 1)"),
+    (["fall", "{c4}"], "fall", "fall_uniqueness_report",
+     FallUniqueness(True, FallSpectrum((4,), {4: Colouring.from_values((1, 2, 3, 4))}), "modular"),
+     "fall returned an invalid witness on the modular path"),
+    (["tightb", "{foot}"], "tight", "solve_tight",
+     TightSolve("oracle", "found", Colouring.from_values((1, 1, 2, 3, 4, 5)), 5, 7),
+     "tightb returned an invalid witness on the oracle path"),
+    (["oracle", "bchromatic", "{c4}"], "oracles", "b_chromatic_number",
+     (2, Colouring.from_values((1, 1, 2, 2))),
+     "colouring is improper on edge (0, 1)"),
+    (["oracle", "bchromatic", "{c4}"], "oracles", "b_chromatic_number",
+     (3, Colouring.from_values((1, 2, 1, 3))),
+     "oracle bchromatic returned an invalid witness"),
+    (["oracle", "bchromatic", "{c4}"], "oracles", "b_chromatic_number",
+     (3, Colouring.from_values((1, 2, 1, 2))),
+     "oracle bchromatic returned an invalid witness"),
+    (["oracle", "chromatic", "{c4}"], "oracles", "chromatic_number",
+     (2, Colouring.from_values((1, 1, 2, 2))),
+     "oracle chromatic returned an invalid witness"),
+    (["oracle", "chromatic", "{c4}"], "oracles", "chromatic_number",
+     (3, Colouring.from_values((1, 2, 1, 2))),
+     "oracle chromatic returned an invalid witness"),
+    (["oracle", "tightb", "{foot}"], "oracles", "tight_b_exact",
+     TightSearch("found", Colouring.from_values((1, 1, 2, 3, 4, 5)), 7),
+     "oracle tightb returned an invalid witness"),
+    (["oracle", "fall", "{c4}"], "oracles", "fall_spectrum",
+     FallSpectrum((3,), {3: Colouring.from_values((1, 2, 1, 2))}),
+     "oracle fall returned an invalid witness"),
+    (["oracle", "edge3col", "{k4}"], "oracles", "three_edge_colouring",
+     {(0, 1): 1, (0, 2): 2, (0, 3): 3, (1, 2): 3, (1, 3): 2, (2, 3): 2},
+     "oracle edge3col returned an invalid witness"),
+    (["oracle", "13sat", "{f3}"], "oracles", "one_in_three_sat", (True, True, False),
+     "oracle 13sat returned an invalid witness"),
+]
 
 
-@pytest.mark.parametrize("name, colours, error", [
-    ("c3", (1, 1, 2), "colouring is improper on edge (0, 1)"),
-    ("c4", (1, 2, 3, 4), "the modular path returned an invalid fall colouring"),
-])
-def test_fall_rejects_an_invalid_witness(files, capsys, monkeypatch, name, colours, error):
-    """An improper witness, and a proper one that is not a fall colouring,
-    each end in one JSON error with exit 3."""
-    import bchromatic.fall
-    from bchromatic.fall import FallUniqueness
-    from bchromatic.graphs import FallSpectrum
-    w = Colouring.from_values(colours)
-    res = FallUniqueness(True, FallSpectrum((w.k,), {w.k: w}), "modular")
-    monkeypatch.setattr(bchromatic.fall, "fall_uniqueness_report", lambda g, budget: res)
-    code, rep = run(capsys, "fall", files[name])
+@pytest.mark.parametrize("argv, module, solver, result, error", BAD_WITNESSES,
+                         ids=["-".join(argv[:2] if argv[0] == "oracle" else argv[:1])
+                              for argv, *_ in BAD_WITNESSES])
+def test_an_invalid_witness_is_an_error_report(files, capsys, monkeypatch, argv, module, solver,
+                                               result, error):
+    """Every kind of report with a witness checks it before writing it: an
+    improper colouring, a proper one that misses the kind's condition, a
+    colouring whose k is not the reported value or spectrum key, an
+    embedding that is not induced, a 3-edge-colouring with two equal
+    colours at a vertex and an assignment with two true variables in one
+    clause each end in one JSON error with exit 3."""
+    import importlib
+    monkeypatch.setattr(importlib.import_module(f"bchromatic.{module}"), solver,
+                        lambda *args, **kwargs: result)
+    code, rep = run(capsys, *[a.format(**files) for a in argv])
     assert code == 3 and rep == {"schema": 1, "status": "error", "error": error}
 
 
-@pytest.mark.parametrize("which, oracle, value, colours, error", [
-    ("bchromatic", "b_chromatic_number", 2, (1, 1, 2, 2), "colouring is improper on edge (0, 1)"),
-    ("bchromatic", "b_chromatic_number", 3, (1, 2, 1, 3),
-     "the b-chromatic oracle returned an invalid b-colouring"),
-    ("bchromatic", "b_chromatic_number", 3, (1, 2, 1, 2),
-     "the b-chromatic oracle returned an invalid b-colouring"),
-    ("chromatic", "chromatic_number", 2, (1, 1, 2, 2),
-     "the chromatic oracle returned an invalid colouring"),
-    ("chromatic", "chromatic_number", 3, (1, 2, 1, 2),
-     "the chromatic oracle returned an invalid colouring"),
-])
-def test_oracle_rejects_an_invalid_witness(files, capsys, monkeypatch, which, oracle, value,
-                                           colours, error):
-    """An improper witness, a proper one that is not a b-colouring, and a
-    b-colouring whose colour count is not the value each end in one JSON
-    error with exit 3."""
-    import bchromatic.oracles
-    w = Colouring.from_values(colours)
-    monkeypatch.setattr(bchromatic.oracles, oracle, lambda g, budget: (value, w))
-    code, rep = run(capsys, "oracle", which, files["c4"])
-    assert code == 3 and rep == {"schema": 1, "status": "error", "error": error}
+def test_every_kind_with_a_witness_has_a_check():
+    """``_CHECKS`` has one row for each command whose report carries a
+    witness, and no other: every ``oracle`` kind the parser offers but
+    ``mmm``, which reports a size alone, and ``tightb``, ``fall`` and
+    ``hfree``.  ``analyze``, ``classify`` and ``show`` report no witness,
+    and ``gadget`` and ``verify`` are checked by the reduction certifier."""
+    from bchromatic.cli import _CHECKS
+    subcommands = build_parser()._subparsers._group_actions[0].choices
+    kinds = next(a.choices for a in subcommands["oracle"]._actions if a.dest == "which")
+    no_witness = {"analyze", "classify", "show", "gadget", "verify", "oracle", "oracle mmm"}
+    expected = {*subcommands, *(f"oracle {k}" for k in kinds)} - no_witness
+    assert set(_CHECKS) == expected
 
 
 SOLVERS = {"oracles", "matching", "patterns", "tight", "fall", "gadgets"}
