@@ -415,11 +415,9 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout = open(os.devnull, "w")
         return EXIT_CODES["error"]
     except Exception as exc:
-        # the types a user's input raises keep their bare message; only an
-        # oracle that ran, so only a loaded oracle module, exceeds a budget
-        oracles = sys.modules.get(f"{__package__}.oracles")
-        budget = (oracles.BudgetExceededError,) if oracles else ()
-        known = isinstance(exc, (ValueError, OSError, *budget))
+        # the types a user's input raises keep their bare message; an input
+        # past an oracle's budget is a ValueError too
+        known = isinstance(exc, (ValueError, OSError))
         report = {"schema": 1, "status": "error",
                   "error": str(exc) if known else f"{type(exc).__name__}: {exc}"}
         try:

@@ -18,6 +18,8 @@ Three families are covered:
 
 ``REDUCTIONS`` maps each kind to its source loader and its certifier, which
 ``verify_reduction`` runs; the ``gadget`` and ``verify`` commands read it.
+A certifier builds its read-only ``ReductionCertificate`` once, from the
+structural checks and oracle answers it has computed.
 Every constructor is deterministic: fresh vertices are numbered by source
 element (edge or clause) first and gadget-internal position second, so
 instances are byte-stable across runs.
@@ -29,7 +31,7 @@ from contextlib import suppress
 from itertools import combinations
 from typing import Any, NamedTuple
 
-from .graphs import (Colouring, Graph, GraphError, _Record, _require_cubic, analyze_tight,
+from .graphs import (Colouring, Graph, GraphError, _require_cubic, analyze_tight,
                      disjoint_union, is_fall_colouring, is_tight_b_colouring)
 from .io import Formula33, load_formula, load_graph
 from .oracles import (BudgetExceededError, clique_number, fall_spectrum,
@@ -132,7 +134,6 @@ class EdgeColouringInstance(NamedTuple):
     source: Graph
     graph: Graph
     edge_list: tuple[tuple[int, int], ...]
-    vertex_of: tuple[int, ...]      # instance index of source vertex i
     edge_vertex_of: tuple[int, ...]  # instance index of source edge j
     groups: dict[str, tuple[int, ...]]
     # forward colour of every vertex; 0 on the edge vertices, whose colour
@@ -198,8 +199,8 @@ def edge3col_instance(g: Graph, variant: str = "edge3col") -> EdgeColouringInsta
                 rest = range(4, n + 4)
             out += [(centre, w) for w in add(f"leaves{r}", rest)]
     graph = Graph.from_edges(len(colour), out)
-    return EdgeColouringInstance(variant, g, graph, edges, tuple(range(n)),
-                                 tuple(range(n, n + m)), groups, tuple(colour))
+    return EdgeColouringInstance(variant, g, graph, edges, tuple(range(n, n + m)), groups,
+                                 tuple(colour))
 
 
 def edge_colouring_to_tight_bcolouring(inst: EdgeColouringInstance,
@@ -322,22 +323,20 @@ def fall_gadget_union(g: Graph, kind: str) -> Graph:
 # -- reduction certificates -----------------------------------------------------------
 
 
-class ReductionCertificate(_Record):
-    """What ``verify_reduction`` found, filled in as it goes: the one record
-    whose fields may be assigned, so it has no hash.  ``equivalence_status``
-    is "structural-only", "verified" or "inconclusive"."""
+class ReductionCertificate(NamedTuple):
+    """What ``verify_reduction`` found, built once from the checks and
+    oracle answers it computed.  ``equivalence_status`` is
+    "structural-only", "verified" or "inconclusive"; with no backward answer
+    to compare it is "structural-only" and the certificate is consistent."""
 
-    __slots__ = ("instance", "structural_checks", "forward_witness", "forward_note",
-                 "backward_note", "measurements", "equivalence_status", "inconsistent")
-
-    def __init__(self, instance: Graph, structural_checks: list[tuple[str, bool]]):
-        self.instance = instance
-        self.structural_checks = structural_checks
-        self.forward_witness: Colouring | None = None
-        self.forward_note = self.backward_note = ""
-        self.measurements: dict[str, Any] = {}
-        self.equivalence_status = "structural-only"
-        self.inconsistent = False
+    instance: Graph
+    structural_checks: list[tuple[str, bool]]
+    forward_witness: Colouring | None
+    forward_note: str
+    backward_note: str
+    measurements: dict[str, Any]
+    equivalence_status: str = "structural-only"
+    inconsistent: bool = False
 
     def structurally_sound(self) -> bool:
         return all(ok for _, ok in self.structural_checks)
@@ -357,7 +356,7 @@ def _edge3col_structural(inst: EdgeColouringInstance) -> list[tuple[str, bool]]:
                    ("3P2-free", is_free(inst.graph, "3P2"))]
     else:
         degs = inst.graph.degrees()
-        table = all(degs[inst.vertex_of[i]] == m + n + 3 for i in range(n))
+        table = all(d == m + n + 3 for d in degs[:n])
         table &= all(degs[x] == m + n + 3 for x in inst.groups["a"])
         table &= all(degs[x] == m + n + 3 for x in inst.groups["b"])
         table &= all(degs[x] == m + n + 2 for x in inst.groups["c"])
@@ -368,35 +367,31 @@ def _edge3col_structural(inst: EdgeColouringInstance) -> list[tuple[str, bool]]:
     return checks
 
 
-def _forward(cert: ReductionCertificate, solve, to_witness, valid,
-             yes_note: str, no_note: str) -> bool | None:
-    """Solve the source, map a solution through the construction, append
-    "forward witness validates" and set the forward note.  Returns whether
-    the source is a yes-instance, or None when its oracle is over budget:
-    the instance is then still emitted, with the forward step skipped."""
+def _forward(checks: list[tuple[str, bool]], solve, to_witness, valid, yes_note: str,
+             no_note: str) -> tuple[bool | None, Colouring | None, str]:
+    """Solve the source, map a solution through the construction and append
+    "forward witness validates" to ``checks``.  Returns whether the source
+    is a yes-instance, the forward witness and the forward note; None for
+    the first when the source's oracle is over budget: the instance is then
+    still emitted, with the forward step skipped."""
     try:
         solution = solve()
     except BudgetExceededError as exc:
-        cert.forward_note = f"forward step skipped, answer unknown: {exc}"
-        return None
+        return None, None, f"forward step skipped, answer unknown: {exc}"
     if solution is None:
-        cert.forward_note = no_note
-        return False
+        return False, None, no_note
     witness = to_witness(solution)
-    cert.structural_checks.append(("forward witness validates", valid(witness)))
-    cert.forward_witness = witness
-    cert.forward_note = yes_note.format(witness.k)
-    return True
+    checks.append(("forward witness validates", valid(witness)))
+    return True, witness, yes_note.format(witness.k)
 
 
-def _settle(cert: ReductionCertificate, consistent: bool | None) -> None:
-    """Record whether the backward answer agrees with the forward one;
-    None when either is unknown."""
+def _settle(consistent: bool | None) -> tuple[str, bool]:
+    """The equivalence status and the inconsistency flag of a backward
+    answer that agrees with the forward one or not; None when either is
+    unknown."""
     if consistent is None:
-        cert.equivalence_status = "inconclusive"
-    else:
-        cert.inconsistent = not consistent
-        cert.equivalence_status = "verified" if consistent else "structural-only"
+        return "inconclusive", False
+    return "verified" if consistent else "structural-only", not consistent
 
 
 def _certify_cobipartite(kind: str, source: Graph, budget: int | None,
@@ -406,34 +401,33 @@ def _certify_cobipartite(kind: str, source: Graph, budget: int | None,
               ("gadget union is C4-free", is_free(inst.bipartite_union, "C4")),
               ("instance is 3P1-free", is_free(inst.graph, "3P1")),
               ("instance is 2P2-free", is_free(inst.graph, "2P2"))]
-    cert = ReductionCertificate(inst.graph, checks)
+    measurements: dict[str, Any] = {}
     if backward:
         # no asserted formula relates these two numbers; they are recorded only
         with suppress(BudgetExceededError):
-            cert.measurements["min_maximal_matching"] = min_maximal_matching_size(
-                source, budget=budget)
+            measurements["min_maximal_matching"] = min_maximal_matching_size(source, budget=budget)
         with suppress(BudgetExceededError):
-            cert.measurements["b_chromatic_number"] = b_chromatic_number(
-                inst.graph, budget=budget)[0]
-    return cert
+            measurements["b_chromatic_number"] = b_chromatic_number(inst.graph, budget=budget)[0]
+    return ReductionCertificate(inst.graph, checks, None, "", "", measurements)
 
 
 def _certify_edge3col(kind: str, source: Graph, budget: int | None,
                       node_budget: int | None, backward: bool) -> ReductionCertificate:
     inst = edge3col_instance(source, kind)
-    cert = ReductionCertificate(inst.graph, _edge3col_structural(inst))
-    forward_yes = _forward(
-        cert, lambda: three_edge_colouring(source, budget=budget),
+    checks = _edge3col_structural(inst)
+    forward_yes, witness, note = _forward(
+        checks, lambda: three_edge_colouring(source, budget=budget),
         lambda ec: edge_colouring_to_tight_bcolouring(inst, ec),
         lambda w: is_tight_b_colouring(inst.graph, w) and w.k == inst.advertised_colours,
         "3-edge-colouring mapped to {} colours", "source has no 3-edge-colouring")
-    if backward:
-        res = tight_b_exact(inst.graph, node_budget=node_budget)
-        cert.measurements["backward_nodes"] = res.nodes
-        cert.backward_note = f"tight b-colouring search: {res.status}"
-        _settle(cert, None if forward_yes is None or res.status == "inconclusive"
-                else (res.status == "found") == forward_yes)
-    return cert
+    if not backward:
+        return ReductionCertificate(inst.graph, checks, witness, note, "", {})
+    res = tight_b_exact(inst.graph, node_budget=node_budget)
+    return ReductionCertificate(
+        inst.graph, checks, witness, note, f"tight b-colouring search: {res.status}",
+        {"backward_nodes": res.nodes},
+        *_settle(None if forward_yes is None or res.status == "inconclusive"
+                 else (res.status == "found") == forward_yes))
 
 
 def _certify_one_in_three(kind: str, source: Formula33, budget: int | None,
@@ -443,23 +437,23 @@ def _certify_one_in_three(kind: str, source: Formula33, budget: int | None,
               ("clique number 3", clique_number(inst.g) == 3)]
     checks += [(f"complement is {name}-free", is_free(inst.gbar, name))
                for name in ("C5", "2P2", "P2+2P1", "4P1")]
-    cert = ReductionCertificate(inst.gbar, checks)
-    forward_yes = _forward(
-        cert, lambda: one_in_three_sat(source, budget=budget),
+    forward_yes, witness, note = _forward(
+        checks, lambda: one_in_three_sat(source, budget=budget),
         lambda assignment: assignment_to_fall_colouring(inst, assignment),
         lambda w: w.k == inst.target and is_fall_colouring(inst.gbar, w),
         "1-in-3 assignment mapped to {} fall colours", "formula is not 1-in-3 satisfiable")
-    if backward:
-        try:
-            spectrum = fall_spectrum(inst.gbar, budget=budget)
-        except BudgetExceededError as exc:
-            cert.backward_note = f"backward step skipped, answer unknown: {exc}"
-            _settle(cert, None)
-            return cert
-        cert.measurements["fall_spectrum"] = list(spectrum.values)
-        _settle(cert, None if forward_yes is None
-                else spectrum.values == ((inst.target,) if forward_yes else ()))
-    return cert
+    if not backward:
+        return ReductionCertificate(inst.gbar, checks, witness, note, "", {})
+    try:
+        spectrum = fall_spectrum(inst.gbar, budget=budget)
+    except BudgetExceededError as exc:
+        return ReductionCertificate(inst.gbar, checks, witness, note,
+                                    f"backward step skipped, answer unknown: {exc}", {},
+                                    *_settle(None))
+    return ReductionCertificate(
+        inst.gbar, checks, witness, note, "", {"fall_spectrum": list(spectrum.values)},
+        *_settle(None if forward_yes is None
+                 else spectrum.values == ((inst.target,) if forward_yes else ())))
 
 
 # Reduction kind -> (source loader, certifier).  The loaders look their

@@ -72,11 +72,13 @@ def bits(mask: int) -> Iterator[int]:
 _set = object.__setattr__
 
 
-class _Record:
-    """A record whose fields are its ``__slots__``.  It equals a record of
-    its own class with the same ``_key()`` (every field unless the class
-    says otherwise), and its repr names every field.  Its fields may be
-    assigned, so it has no hash; ``_Value`` is the frozen kind."""
+class _Value:
+    """The package's one record base (plain results are ``NamedTuple``s).
+    Its fields are its ``__slots__``, set once by ``__init__`` through
+    ``_set``: assigning or deleting a field raises AttributeError.  It
+    equals a record of its own class with the same ``_key()`` (every field
+    unless the class says otherwise) and hashes by that key, its repr names
+    every field, and copy and pickle rebuild it through ``__init__``."""
 
     __slots__ = ()
 
@@ -90,20 +92,12 @@ class _Record:
             return NotImplemented
         return self._key() == other._key()
 
+    def __hash__(self):
+        return hash(self._key())
+
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
         return f"{type(self).__name__}({fields})"
-
-
-class _Value(_Record):
-    """A record whose fields are set once by ``__init__`` through ``_set``:
-    assigning or deleting a field raises AttributeError.  It hashes by
-    ``_key()``, and copy and pickle rebuild it through ``__init__``."""
-
-    __slots__ = ()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def __reduce__(self):
         return type(self), self._fields()

@@ -52,7 +52,7 @@ RAISED_BUDGET = 32
 DEFAULT_NODE_BUDGET = 10**7
 
 
-class BudgetExceededError(Exception):
+class BudgetExceededError(ValueError):
     """Input too large for the requested oracle."""
 
 

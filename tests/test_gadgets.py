@@ -256,22 +256,25 @@ def test_verify_reduction_petersen_backward():
                                   "tight b-colouring search: inconclusive")
 
 
-def test_reduction_certificate_is_a_mutable_record():
-    """Certificates compare by every field and show each, but are filled in
-    as the checks run: fields may be assigned, other names may not, and
-    there is no hash.  A copy and a pickle keep every field."""
-    a, b = (ReductionCertificate(Graph(1, (0,)), [("ok", True)]) for _ in range(2))
+def test_reduction_certificate_is_a_read_only_record():
+    """A certificate is built once: two runs on one source give equal
+    certificates, copy and pickle give an equal one back, its repr names
+    every field, and no field may be assigned.  With no backward step it
+    has no backward note, no measurement and no equivalence to claim."""
+    a, b = (verify_reduction("edge3col", CUBIC_FIXTURES["K4"]) for _ in range(2))
     assert a is not b and a == b
-    a.measurements["n"] = 1
-    assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a and a != b
-    del a.measurements["n"]
-    assert repr(a) == ("ReductionCertificate(instance=Graph(n=1, adj=(0,)), "
-                       "structural_checks=[('ok', True)], forward_witness=None, "
-                       "forward_note='', backward_note='', measurements={}, "
-                       "equivalence_status='structural-only', inconsistent=False)")
-    with pytest.raises(TypeError):
-        hash(a)
-    a.inconsistent = True
-    assert a != b and a.inconsistent
+    assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
     with pytest.raises(AttributeError):
-        a.extra = 0
+        a.inconsistent = True
+    assert not a.inconsistent
+    cert = ReductionCertificate(Graph(1, (0,)), [("ok", True)], None, "", "", {})
+    assert repr(cert) == ("ReductionCertificate(instance=Graph(n=1, adj=(0,)), "
+                          "structural_checks=[('ok', True)], forward_witness=None, "
+                          "forward_note='', backward_note='', measurements={}, "
+                          "equivalence_status='structural-only', inconsistent=False)")
+    for kind, source in (("cobipartite", pattern_graph("P3")), ("edge3col", CUBIC_FIXTURES["K4"]),
+                         ("one-in-three", FORMULA_N3_SATISFIABLE)):
+        cert = verify_reduction(kind, source, backward=False)
+        assert cert.structurally_sound() and not cert.inconsistent
+        assert (cert.backward_note, cert.measurements) == ("", {})
+        assert cert.equivalence_status == "structural-only"

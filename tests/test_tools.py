@@ -52,11 +52,30 @@ def test_compare_reports_names_the_differing_keys(tmp_path, capsys):
     Path(b, "out", "u.col").write_text("p edge 2 0\n")
     assert compare_reports.main(a, b) == 1
     assert capsys.readouterr().out.splitlines() == [
-        "common 5  differ 4  only in A 0  only in B 0",
+        "common 5  differ 4  only in A 0  only in B 0  one-sided repeats 0",
         "differs: out/r.json [witness]",
         "differs: out/s.json [error, status, value]",
         "differs: out/t.json",
         "differs: out/u.col",
+    ]
+
+
+def test_compare_reports_counts_one_sided_repeats(tmp_path, capsys):
+    """A repeat copy ``<name>.r<k>.json`` or ``.col`` on one side only is
+    counted on the summary line, not listed, when both trees hold its first
+    run ``<name>.json``; any other one-sided file is still listed, and
+    neither fails the check."""
+    a = _tree(tmp_path / "a", {"out/g.json": {}, "out/g.r1.json": {}, "out/g.r2.json": {},
+                               "out/h.r1.json": {}, "out/x.json": {}})
+    b = _tree(tmp_path / "b", {"out/g.json": {}, "out/g.r1.json": {}, "out/y.json": {}})
+    Path(a, "out", "g.r2.col").write_text("p edge 1 0\n")
+    Path(b, "out", "g.r3.col").write_text("p edge 1 0\n")
+    assert compare_reports.main(a, b) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "common 2  differ 0  only in A 2  only in B 1  one-sided repeats 3",
+        f"only in {a}: out/h.r1.json",
+        f"only in {a}: out/x.json",
+        f"only in {b}: out/y.json",
     ]
 
 
