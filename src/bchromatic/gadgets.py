@@ -37,7 +37,7 @@ from .io import Formula33, load_formula, load_graph
 from .oracles import (BudgetExceededError, clique_number, fall_spectrum,
                       min_maximal_matching_size, one_in_three_sat,
                       three_edge_colouring, tight_b_exact, b_chromatic_number)
-from .patterns import is_free, pattern_graph
+from .patterns import is_free, is_split, pattern_graph
 
 
 # -- named graph families ------------------------------------------------------
@@ -349,8 +349,7 @@ def _edge3col_structural(inst: EdgeColouringInstance) -> list[tuple[str, bool]]:
     if inst.variant == "edge3col":
         split_part = inst.graph.subgraph(list(range(n + m)))
         checks += [("m-degree == n+3", info.m == n + 3),
-                   ("clique-plus-edge part is split", is_free(split_part, "2P2")
-                    and is_free(split_part, "C4") and is_free(split_part, "C5"))]
+                   ("clique-plus-edge part is split", is_split(split_part))]
     elif inst.variant == "edge3col-3p2":
         checks += [("m-degree == n+3", info.m == n + 3),
                    ("3P2-free", is_free(inst.graph, "3P2"))]

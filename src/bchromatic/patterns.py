@@ -319,6 +319,19 @@ def is_forest(g: Graph) -> bool:
     return g.edge_count() == g.n - len(g.component_masks())
 
 
+def is_split(g: Graph) -> bool:
+    """Whether the vertices split into a clique and an independent set,
+    i.e. ``g`` is (2P2, C4, C5)-free (Földes & Hammer 1977).  With degrees
+    d_1 >= ... >= d_n and m the largest i with d_i >= i - 1, ``g`` is split
+    iff d_1 + ... + d_m = m(m - 1) + d_(m+1) + ... + d_n (Hammer & Simeone
+    1981)."""
+    degs = sorted(g.degrees(), reverse=True)
+    m = 0
+    while m < g.n and degs[m] >= m:
+        m += 1
+    return sum(degs[:m]) == m * (m - 1) + sum(degs[m:])
+
+
 def _partitioned(classes, r: int) -> bool:
     """True iff the sets ``classes[v] & r`` for v in ``r`` partition ``r``.
 
@@ -414,13 +427,82 @@ def _peel(g: Graph, classes: list[int]) -> int:
             return alive
 
 
+def _no_2p3(g: Graph) -> bool:
+    # a union of cliques has no P3, so no 2P3, and needs no peel
+    closed = [a | 1 << v for v, a in enumerate(g.adj)]
+    return _partitioned(closed, g.full_mask()) or not _peel(g, closed)
+
+
+class _EdgesNear(dict):
+    """``near[w]`` is the set of edges, a bitset over their numbers, with an
+    end in N[w], made when first read."""
+
+    def __init__(self, adj: tuple[int, ...], incident: list[int]):
+        self.adj, self.incident = adj, incident
+
+    def __missing__(self, w: int) -> int:
+        near = 0
+        for v in bits(self.adj[w] | 1 << w):
+            near |= self.incident[v]
+        self[w] = near
+        return near
+
+
+def _no_3p2(g: Graph) -> bool:
+    """Whether ``g`` has no three pairwise far edges, where no end of one
+    lies in the closed neighbourhood of another: an induced 3P2 is exactly
+    such a triple, an induced matching of size 3 (Cameron 1989).
+
+    A greedy pass first takes an edge at each vertex still far from the
+    edges taken, and answers most hosts that hold the pattern before even
+    the edges are counted.  Otherwise, for each edge ab and each edge xy of
+    G - N[a] - N[b], x its lower end, one AND of ``near`` sets says whether
+    an edge numbered above ab lies far from all four ends: every far triple
+    is found from its lowest edge.  Walking x before y skips at once each x
+    with no such edge, which keeps two cliques, with many far pairs, cheap.
+    A host with more edges than non-edges proves nothing: each ``near`` set
+    there ORs about n/2 sets of about n²/4 bits.
+    """
+    adj, rest, taken = g.adj, -1, 0
+    for v, a in enumerate(adj):
+        if rest >> v & 1 and a & rest:
+            rest &= ~(a | adj[(a & rest & -(a & rest)).bit_length() - 1])
+            taken += 1
+            if taken == 3:
+                return False
+    if 4 * g.edge_count() > g.n * (g.n - 1):
+        return False
+    edges = [(u, v) for u, a in enumerate(adj) for v in bits(a & ~((2 << u) - 1))]
+    incident, lower_ends = [0] * g.n, 0
+    for i, (u, v) in enumerate(edges):
+        incident[u] |= 1 << i
+        incident[v] |= 1 << i
+        lower_ends |= 1 << u
+    near = _EdgesNear(adj, incident)
+    above = (1 << len(edges)) - 1
+    for a, b in edges:
+        above &= above - 1  # the edges numbered above ab
+        far = above & ~(near[a] | near[b])
+        if far:
+            rest = ~(adj[a] | adj[b])
+            for x in bits(rest & lower_ends):
+                beside = far & ~near[x]
+                if beside:
+                    for y in bits(adj[x] & rest & ~((2 << x) - 1)):
+                        if beside & ~near[y]:
+                            return False
+    return True
+
+
 # Pattern -> a test that, when it holds, proves the host free of the
 # pattern.  A failed test proves nothing: the search then runs as before,
-# so every witness stays the least one.  The P3+P1 row is exact.  The peel
+# so every witness stays the least one.  The P3+P1 row is exact, and so is
+# the 3P2 row on hosts with at most as many edges as non-edges.  The peel
 # reads each class many times over its passes, so it takes them as a list.
 _FREENESS_PROOFS = {
     pattern_graph("2P2+P1"): lambda g: not _peel(g, _closed_non_neighbourhoods(g)),
-    pattern_graph("2P3"): lambda g: not _peel(g, [a | 1 << v for v, a in enumerate(g.adj)]),
+    pattern_graph("2P3"): _no_2p3,
+    pattern_graph("3P2"): _no_3p2,
     pattern_graph("P3+P1"): lambda g: p3p1_decomposition(g) is not None,
 }
 

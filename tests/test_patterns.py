@@ -8,14 +8,15 @@ import tracemalloc
 import pytest
 
 from bchromatic.graphs import Graph, bits, co_components
-from bchromatic.patterns import (PatternError, Verdict, _ClosedNeighbourhoods,
+from bchromatic.patterns import (_FREENESS_PROOFS, PatternError, Verdict, _ClosedNeighbourhoods,
                                  _closed_non_neighbourhoods, _peel, classify, contains_induced,
                                  has_independent_triple, is_free, is_induced_subgraph_of,
-                                 p3p1_decomposition, pattern_graph)
+                                 is_split, p3p1_decomposition, pattern_graph)
 
-from helpers import (all_graphs, all_graphs_up_to, is_complete_multipartite, is_linear_forest,
-                     is_union_of_cliques, naive_contains_induced, random_graph,
-                     reference_contains_induced, reference_witness_table, tight_2p2p1_family)
+from helpers import (all_graphs, all_graphs_up_to, circular_ladder, is_complete_multipartite,
+                     is_linear_forest, is_union_of_cliques, moebius_ladder,
+                     naive_contains_induced, random_graph, reference_contains_induced,
+                     reference_witness_table, tight_2p2p1_family)
 
 
 def test_pattern_expansion():
@@ -206,19 +207,91 @@ def test_peeled_vertices_lie_in_no_pattern():
 
 def test_freeness_proofs_need_no_search(monkeypatch):
     """The peel alone proves the n=321 tight family member (2P2+P1)-free and
-    the Petersen edge3col-2p3 gadget 2P3-free: the search never runs."""
+    the Petersen edge3col-2p3 gadget 2P3-free; the far-edge test proves the
+    edge3col-3p2 gadget of each cubic source the reductions benchmark
+    verifies 3P2-free; and a perfect matching on 2,000 vertices, a union of
+    cliques, is 2P3-free without the peel: the search never runs."""
     from bchromatic import patterns
     from bchromatic.gadgets import edge3col_instance, petersen_graph
 
     def no_search(*args, **kwargs):
-        raise AssertionError("the induced-pattern search ran")
+        raise AssertionError("the induced-pattern search or the peel ran")
 
     family = tight_2p2p1_family(214)
     gadget = edge3col_instance(petersen_graph(), "edge3col-2p3").graph
+    k33 = Graph.from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    sources = [pattern_graph("K4"), k33, circular_ladder(3), petersen_graph(), moebius_ladder(4)]
+    gadgets_3p2 = [edge3col_instance(src, "edge3col-3p2").graph for src in sources]
+    matching = Graph.from_edges(2000, [(2 * i, 2 * i + 1) for i in range(1000)])
     monkeypatch.setattr(patterns, "_embed", no_search)
     assert family.n == 321
     assert is_free(family, "2P2+P1")
     assert is_free(gadget, "2P3")
+    assert all(is_free(g, "3P2") for g in gadgets_3p2)
+    monkeypatch.setattr(patterns, "_peel", no_search)
+    assert is_free(matching, "2P3")
+
+
+def _split_and_random_hosts(count: int) -> list[Graph]:
+    """Seeded hosts on 7-10 vertices: random graphs, half of them sparse
+    enough to hold an induced 3P2 often, and split graphs with one pair
+    possibly toggled, so that both answers of each test are common."""
+    rng = random.Random(30)
+    hosts = []
+    for i in range(count):
+        n = rng.randint(7, 10)
+        if i % 2:
+            hosts.append(random_graph(rng, n, rng.uniform(0.05, 0.5)))
+            continue
+        k = rng.randint(1, n - 1)
+        edges = {(u, v) for u in range(k) for v in range(u + 1, n) if v < k or rng.random() < 0.5}
+        u, v = sorted(rng.sample(range(n), 2))
+        if rng.random() < 0.5:
+            edges ^= {(u, v)}
+        hosts.append(Graph.from_edges(n, edges))
+    return hosts
+
+
+def test_3p2_proof_is_exact_on_sparse_hosts():
+    """The 3P2 row never claims a host that holds an induced 3P2 free, and
+    on a host with at most as many edges as non-edges it proves freeness
+    exactly when the reference search finds no copy: on every graph with at
+    most 6 vertices and on 1,000 seeded hosts with 7-10 vertices."""
+    h = pattern_graph("3P2")
+    proof = _FREENESS_PROOFS[h]
+    seen = {True: 0, False: 0}
+    for n in range(1, 7):
+        with_copy = reference_witness_table(n, h)
+        for mask, g in enumerate(all_graphs(n)):
+            proved = proof(g)
+            assert not (proved and mask in with_copy), g.adj
+            if 4 * g.edge_count() <= n * (n - 1):
+                assert proved == (mask not in with_copy), g.adj
+    for g in _split_and_random_hosts(1000):
+        proved = proof(g)
+        sparse = 4 * g.edge_count() <= g.n * (g.n - 1)
+        if proved or sparse:
+            has_copy = reference_contains_induced(g, h) is not None
+            assert not (proved and has_copy), g.adj
+            assert not sparse or proved != has_copy, g.adj
+            seen[has_copy] += 1
+    assert min(seen.values()) >= 50, seen
+
+
+def test_split_test_matches_the_searches():
+    """The degree test of ``is_split`` agrees with 2P2-, C4- and C5-freeness
+    on every graph with at most 6 vertices (the reference tables) and on
+    1,000 seeded hosts with 7-10 vertices (``is_free``)."""
+    holds = {True: 0, False: 0}
+    for n in range(1, 7):
+        tables = [reference_witness_table(n, pattern_graph(name)) for name in ("2P2", "C4", "C5")]
+        for mask, g in enumerate(all_graphs(n)):
+            assert is_split(g) == all(mask not in t for t in tables), g.adj
+    for g in _split_and_random_hosts(1000):
+        split = is_free(g, "2P2") and is_free(g, "C4") and is_free(g, "C5")
+        assert is_split(g) == split, g.adj
+        holds[split] += 1
+    assert min(holds.values()) >= 100, holds
 
 
 def test_too_few_edges_or_non_edges_need_no_proof(monkeypatch):

@@ -2,10 +2,12 @@
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
-_SPEC = importlib.util.spec_from_file_location(
-    "compare_reports", Path(__file__).resolve().parents[1] / "tools" / "compare_reports.py")
+_TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_reports.py"
+_SPEC = importlib.util.spec_from_file_location("compare_reports", _TOOL)
 compare_reports = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(compare_reports)
 
@@ -58,6 +60,25 @@ def test_compare_reports_names_the_differing_keys(tmp_path, capsys):
         "differs: out/t.json",
         "differs: out/u.col",
     ]
+
+
+def test_compare_reports_is_quiet_when_the_reader_leaves(tmp_path):
+    """A reader that closes the pipe after the first line, as ``head -1``
+    does, gets no ``BrokenPipeError`` traceback on standard error, and the
+    exit status is still the comparison's.  The listing, about 170 kB,
+    outgrows the pipe, so the tool is still writing when the reader goes."""
+    names = [f"out/report-{i:04d}-{'x' * 60}.json" for i in range(2000)]
+    a = _tree(tmp_path / "a", {name: {"value": 1} for name in names})
+    b = _tree(tmp_path / "b", {name: {"value": 2} for name in names})
+    tool = subprocess.Popen([sys.executable, str(_TOOL), a, b],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = tool.stdout.readline()
+    tool.stdout.close()
+    err = tool.stderr.read()
+    tool.stderr.close()
+    assert tool.wait() == 1
+    assert first == b"common 2000  differ 2000  only in A 0  only in B 0  one-sided repeats 0\n"
+    assert err == b""
 
 
 def test_compare_reports_counts_one_sided_repeats(tmp_path, capsys):

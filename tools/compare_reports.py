@@ -12,12 +12,14 @@ repeat copy, ``<name>.r<k>.json`` or ``<name>.r<k>.col`` beside a first run
 ``<name>.json`` that both trees hold, is not listed: it only shows that one
 run fitted more passes, so the summary line counts these copies apart.
 Exits 1 when a common file differs; files on one side only are listed but
-do not fail the check.  Exits 2 when either argument is not a directory or
+do not fail the check.  A reader that closes the pipe early, such as
+``head``, ends the listing quietly and leaves the exit status as it is.  Exits 2 when either argument is not a directory or
 the two trees have no file in common, since such a comparison checks
 nothing.
 """
 
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -75,13 +77,18 @@ def main(a: str, b: str) -> int:
         first = [p for p in side if not _is_repeat(p, shared)]
         repeats += len(side) - len(first)
         only.append((root, sorted(first)))
-    print(f"common {len(common)}  differ {len(differ)}  only in A {len(only[0][1])}  "
-          f"only in B {len(only[1][1])}  one-sided repeats {repeats}")
-    for p, keys in differ:
-        print(f"differs: {p}" + (f" [{', '.join(keys)}]" if keys else ""))
-    for root, paths in only:
-        for p in paths:
-            print(f"only in {root}: {p}")
+    try:
+        print(f"common {len(common)}  differ {len(differ)}  only in A {len(only[0][1])}  "
+              f"only in B {len(only[1][1])}  one-sided repeats {repeats}")
+        for p, keys in differ:
+            print(f"differs: {p}" + (f" [{', '.join(keys)}]" if keys else ""))
+        for root, paths in only:
+            for p in paths:
+                print(f"only in {root}: {p}")
+    except BrokenPipeError:
+        # The reader has gone: write nothing more; the status still reports
+        # the comparison.
+        sys.stdout = open(os.devnull, "w")
     return 1 if differ else 0
 
 
