@@ -2,23 +2,25 @@
 
 Everything here is exhaustive search with pruning.  One canonical partition
 search, ``_colour_search``, finds the first colouring with exactly k
-colour classes that passes an optional node test; it serves the chromatic
-number (degree order, k from the clique number up, no test), the
-b-chromatic number and 3-edge-colourings (3-colourings of the line graph,
-edges in index order, no test).  The node test is asked at every node,
-leaves included, and may cut only subtrees that hold no leaf it accepts.
-The b-colouring search's test cuts a node once some class can no longer
-get a b-vertex; at a leaf, where every vertex is coloured, that is exact:
-it accepts the b-colourings and nothing else, so it is the search's only
-b-vertex test.  The b-chromatic number runs one search per k, from the
-m-degree down, each in order of decreasing degree: the searches above b(G)
-fail, and the one that succeeds at b(G) gives the witness.  One exact-cover
-search, ``_exact_covers``, serves fall spectra (partitions of V into
-maximal independent sets) and 1-in-3 satisfiability (partitions of the
-clauses into the clause sets of the true variables).  The rest:
-rainbow-neighbourhood backtracking on an explicit stack, most constrained
-vertex first, for tight b-colourings, and minimal-vertex-cover enumeration
-plus blossom matching for minimum maximal matchings.
+colour classes, each with a b-vertex if asked; it serves the chromatic
+number (degree order, k from the clique number up), the b-chromatic number
+and 3-edge-colourings (3-colourings of the line graph, edges in index
+order).  For b-colourings it keeps, as it places vertices, the live set:
+the vertices whose seen classes plus uncoloured neighbours still reach
+k-1.  That count only falls, so every b-vertex of a colouring below a node
+is live there, and a node is cut once some class has no live member and
+no uncoloured live vertex left to join it.  The cut keeps every
+b-colouring, and at a leaf, where the live vertices are exactly those that
+see the other k-1 classes, it accepts the b-colourings and nothing else,
+so it is the search's only b-vertex test.  The b-chromatic number runs one
+search per k, from the m-degree down, each in order of decreasing degree:
+the searches above b(G) fail, and the one that succeeds at b(G) gives the
+witness.  One exact-cover search, ``_exact_covers``, serves fall spectra
+(partitions of V into maximal independent sets) and 1-in-3 satisfiability
+(partitions of the clauses into the clause sets of the true variables).
+The rest: rainbow-neighbourhood backtracking on an explicit stack, most
+constrained vertex first, for tight b-colourings, and minimal-vertex-cover
+enumeration plus blossom matching for minimum maximal matchings.
 
 Vertex budgets guard the calls that are exponential in n (for 1-in-3
 satisfiability, n counts the formula's variables).  Every oracle's
@@ -33,7 +35,7 @@ maximal independent sets are the maximal cliques of the (sparse) complement.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 # NotCubicError, NotTightError and FormulaError, which these oracles raise,
 # stay importable from here
@@ -134,54 +136,122 @@ def maximal_independent_sets(g: Graph) -> list[int]:
 # -- the colouring search ----------------------------------------------------
 
 
+def _b_vertices_possible(classes: list[int], near: list[int], live: int, left: int,
+                         k: int) -> bool:
+    """The node test of a b-colouring search with k colours, at a node
+    with open ``classes``, their neighbourhoods ``near``, uncoloured
+    vertices ``left`` and the ``live`` vertices of ``_colour_search``:
+    False once some class can no longer get a b-vertex.
+
+    A class with no live member needs an uncoloured live vertex with no
+    neighbour in it, to join it later as its b-vertex, and so does each
+    class not opened yet; the uncoloured live vertices must number at
+    least the classes that need one.  Every b-colouring below the node
+    takes the b-vertex of each class from those, a different one for each
+    class, so a failed test cuts no b-colouring.  At a leaf nothing is
+    uncoloured and the live vertices are exactly those that see the k-1
+    other classes, so the test holds iff every class has one: it accepts
+    the b-colourings and nothing else.  At the root it fails unless k
+    vertices have degree k-1 or more, which rules out every k above m(G).
+    """
+    pool = live & left
+    spare = pool.bit_count() - (k - len(classes))
+    if spare < 0:
+        return False
+    for j, c in enumerate(classes):
+        if c & live:
+            continue
+        if not spare or not pool & ~near[j]:
+            return False
+        spare -= 1
+    return True
+
+
 def _colour_search(adj: Sequence[int], k: int, order: list[int],
-                   alive: Callable[[list[int], int], bool] | None = None) -> list[int] | None:
+                   b_vertices: bool = False) -> list[int] | None:
     """The first colouring, in lexicographic order along ``order``, that
-    splits the vertices of ``order`` into exactly k independent classes
-    and passes the node test ``alive``, returned as its k class masks: the
-    i-th holds the vertices of colour i + 1.
+    splits the vertices of ``order`` into exactly k independent classes,
+    each with a b-vertex if ``b_vertices``, returned as its k class masks:
+    the i-th holds the vertices of colour i + 1.
 
     The search is canonical: each vertex joins an existing class it has no
     neighbour in, lowest first, or else opens the next class while fewer
     than k are open, and a subtree is cut when the open classes plus the
-    vertices left cannot reach k.
+    vertices left cannot reach k.  The first leaf is the lexicographically
+    first colouring, since renaming the colours of any other in order of
+    first appearance gives a smaller canonical one.
 
-    ``alive(classes, left)``, if given, is asked at every node, with
-    ``left`` the bitmask of the vertices not yet coloured, and False cuts
-    the node.  At a leaf ``left`` is 0, and the test's answer there decides
-    whether the colouring is accepted.  Above the leaves it may cut only
-    subtrees that hold no accepted leaf, so the first accepted leaf is the
-    answer.  If the test does not depend on the colour names, that leaf is
-    the lexicographically first accepted colouring, since renaming the
-    colours of any other in order of first appearance gives a smaller
-    canonical one.
+    With ``b_vertices`` the search also carries, as it places vertices,
+    ``near[j]``, the vertices with a neighbour in class j, and
+    ``slack[u]``: the classes u sees plus its uncoloured neighbours, minus
+    k-1.  Slack only falls.  When a neighbour of u joins a class u sees
+    already, u loses an uncoloured neighbour and gains no class, so its
+    slack drops by 1; when the neighbour joins or opens a class u does not
+    see yet, u trades it for the class and its slack stays.  Slack bounds
+    what u will see beyond k-1 colours, so ``live``, the vertices with
+    slack at least 0 (at the root, those of degree k-1 or more), holds
+    every b-vertex of every colouring below the node.  Placing v in class
+    j changes the slack of ``adj[v] & live & near[j]`` alone (no slack is
+    kept outside ``live``), on a copy of ``slack`` that undoing the step
+    drops, so backtracking restores exactly those.
+    ``_b_vertices_possible`` then tests every node, leaves included.
     """
     n = len(order)
     classes: list[int] = []
     left = [0] * (n + 1)  # left[i]: the vertices order[i:]
     for i in range(n - 1, -1, -1):
         left[i] = left[i + 1] | 1 << order[i]
+    near: list[int] = []
+    slack = [a.bit_count() - (k - 1) for a in adj] if b_vertices else []
+    live = sum(1 << u for u, s in enumerate(slack) if s >= 0)
 
+    # the bit loops are written out: they run at every node
     def rec(i: int) -> bool:
-        if len(classes) + (n - i) < k:
+        nonlocal live, slack
+        opened = len(classes)
+        if opened + (n - i) < k:
             return False
-        if alive is not None and not alive(classes, left[i]):
+        if b_vertices and not _b_vertices_possible(classes, near, live, left[i], k):
             return False
         if i == n:
             return True
         v = order[i]
+        a = adj[v]
         bit = 1 << v
-        for j in range(len(classes)):
-            if not adj[v] & classes[j]:
-                classes[j] |= bit
-                if rec(i + 1):
-                    return True
-                classes[j] &= ~bit
-        if len(classes) < k:
+        for j in range(opened):
+            if a & classes[j]:
+                continue
+            classes[j] |= bit
+            if b_vertices:
+                was = near[j]
+                near[j] = was | a
+                saved = slack
+                hit = rest = a & live & was
+                if hit:
+                    slack = slack[:]
+                while rest:
+                    low = rest & -rest
+                    u = low.bit_length() - 1
+                    slack[u] -= 1
+                    if slack[u] < 0:
+                        live ^= low
+                    rest ^= low
+            if rec(i + 1):
+                return True
+            classes[j] ^= bit
+            if b_vertices:
+                near[j] = was
+                live |= hit
+                slack = saved
+        if opened < k:
             classes.append(bit)
+            if b_vertices:
+                near.append(a)
             if rec(i + 1):
                 return True
             classes.pop()
+            if b_vertices:
+                near.pop()
         return False
 
     return classes if rec(0) else None
@@ -207,98 +277,12 @@ def chromatic_number(g: Graph, *, budget: int | None = None) -> tuple[int, Colou
 # -- b-chromatic number -------------------------------------------------------
 
 
-def _b_vertex_prune(g: Graph, k: int) -> Callable[[list[int], int], bool]:
-    """The node test of a b-colouring search with k colours: False when
-    the open classes can no longer all get a b-vertex.
-
-    A b-vertex sees k-1 other colours, so its degree is at least k-1; call
-    such a vertex big.  A big member of a class can still be its b-vertex
-    if the distinct classes of its coloured neighbours plus its uncoloured
-    neighbours number k-1 or more.  A class with no such member needs an
-    uncoloured big vertex with no neighbour in it, to join it later as its
-    b-vertex, and so does each class not opened yet.  The test fails when
-    some class has no candidate or the uncoloured big vertices are too few
-    for all the classes that need one.  Every b-colouring below the node
-    takes the b-vertex of each class from its candidates, a different
-    vertex for each class, so a failed test cuts no b-colouring.
-
-    The test is exact at a leaf, where all k classes are open and nothing
-    is uncoloured: no vertex is left for a class to wait for, so it holds
-    iff every class has a member that sees the k-1 other classes, which is
-    the definition of a b-colouring.  At the root it holds only if at
-    least k vertices are big, which rules out every k above m(G).
-    """
-    adj = g.adj
-    need = k - 1
-    big = 0  # once per k
-    for v in range(g.n):
-        if adj[v].bit_count() >= need:
-            big |= 1 << v
-    # per set of uncoloured vertices, which the search meets once per depth:
-    # the uncoloured big vertices, and the coloured ones with k-1 uncoloured
-    # neighbours, which need no look at the classes
-    by_left: dict[int, tuple[int, int]] = {}
-
-    def alive(classes: list[int], left: int) -> bool:
-        got = by_left.get(left)
-        if got is None:
-            rich = 0
-            rest = big & ~left
-            while rest:
-                low = rest & -rest
-                if (adj[low.bit_length() - 1] & left).bit_count() >= need:
-                    rich |= low
-                rest ^= low
-            got = by_left[left] = (left & big, rich)
-        pool, rich = got
-        spare = pool.bit_count() - (k - len(classes))
-        if spare < 0:
-            return False
-        # the bit loops are written out: this runs at every node
-        for c in classes:
-            if c & rich:
-                continue
-            rest = c & big
-            while rest:
-                low = rest & -rest
-                a = adj[low.bit_length() - 1]
-                seen = (a & left).bit_count()
-                for d in classes:
-                    if a & d:
-                        seen += 1
-                if seen >= need:
-                    break
-                rest ^= low
-            if rest:
-                continue
-            if not spare:
-                return False
-            rest = pool
-            while rest:
-                low = rest & -rest
-                if not adj[low.bit_length() - 1] & c:
-                    break
-                rest ^= low
-            if not rest:
-                return False
-            spare -= 1
-        return True
-
-    return alive
-
-
-def _b_colouring(g: Graph, k: int, order: list[int]) -> list[int] | None:
-    """The first b-colouring with exactly k colours along ``order``, as
-    class masks, or None."""
-    return _colour_search(g.adj, k, order, _b_vertex_prune(g, k))
-
-
 def b_colouring_with(g: Graph, k: int, *, budget: int | None = None) -> Colouring | None:
     """A b-colouring using exactly k colours, or None."""
     _past_limit(g.n, budget, DEFAULT_NP_BUDGET, "b-colouring")
     if not 0 <= k <= g.n:
         return None
-    found = _b_colouring(g, k, list(range(g.n)))
+    found = _colour_search(g.adj, k, list(range(g.n)), b_vertices=True)
     return None if found is None else Colouring.from_class_masks(g.n, found)
 
 
@@ -308,16 +292,16 @@ def b_chromatic_number(g: Graph, *, budget: int | None = None) -> tuple[int, Col
 
     k runs down from the m-degree, each searched once in order of
     decreasing degree (lowest index on ties), which refutes a k above the
-    b-chromatic number far sooner than index order.  The search takes the
-    b-vertex prune as its one node test: it cuts no b-colouring, and at a
-    leaf it accepts exactly the b-colourings, so the first k found is b(G)
-    and its witness is the first b-colouring along that order.
+    b-chromatic number far sooner than index order.  The search's live-set
+    cut keeps every b-colouring, and at a leaf it accepts exactly the
+    b-colourings, so the first k found is b(G) and its witness is the
+    first b-colouring along that order.
     ``b_colouring_with(g, k)`` gives the first one in index order instead.
     k = 0 is reached only on the empty graph."""
     _past_limit(g.n, budget, DEFAULT_NP_BUDGET, "b-colouring")
     by_degree = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     for k in range(m_degree(g), -1, -1):
-        found = _b_colouring(g, k, by_degree)
+        found = _colour_search(g.adj, k, by_degree, b_vertices=True)
         if found is not None:
             return k, Colouring.from_class_masks(g.n, found)
     raise AssertionError("unreachable: every graph has a b-colouring")

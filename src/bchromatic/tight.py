@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .graphs import (Colouring, Graph, GraphError, PreconditionError, TightAnalysis,
-                     _class_masks, _monochromatic_edge, _require_tight, bits, is_b_colouring)
+                     _class_masks, _monochromatic_edge, _require_tight, bits)
 from .matching import perfect_matching
 from .patterns import is_free, p3p1_decomposition
 
@@ -181,20 +181,6 @@ def extend_partial(p: PartialBColouring) -> Colouring | None:
         colour[s[b - len(t2)]] = colour[t2[a]]
     _greedy_complete(g, colour, m)
     return Colouring.from_values(colour)
-
-
-def is_b_precolouring_extension(p: PartialBColouring, c: Colouring) -> bool:
-    """Check the two extension conditions against a full colouring: it must
-    extend the partial colouring as a b-colouring, and no colour class with
-    two or more boundary vertices may contain an uncoloured-boundary vertex."""
-    if c.k != p.m or any(c.colours[v] != col for v, col in p.colours.items()):
-        return False
-    if not is_b_colouring(p.host, c):
-        return False
-    boundary = sum(1 << v for v in p.analysis.boundary)
-    s_rest = boundary & ~sum(1 << v for v in p.s_prime)
-    return not any((members & boundary).bit_count() >= 2 and members & s_rest
-                   for members in c.class_masks().values())
 
 
 # -- (2P2+P1)-free tight graphs ---------------------------------------------

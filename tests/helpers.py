@@ -10,13 +10,14 @@ import itertools
 import random
 
 from bchromatic.graphs import (Colouring, Graph, GraphError, NotTightError, analyze_tight,
-                               bits, complete_join, disjoint_union, is_fall_colouring,
-                               proper_violation)
+                               bits, complete_join, disjoint_union, is_b_colouring,
+                               is_fall_colouring, proper_violation)
 from bchromatic.io import Formula33
 from bchromatic.matching import Matching
 from bchromatic.oracles import DEFAULT_NODE_BUDGET, TightSearch, maximal_independent_sets
 from bchromatic.patterns import (_ClosedNeighbourhoods, _closed_non_neighbourhoods, _partitioned,
                                  is_forest, is_free, pattern_graph)
+from bchromatic.tight import PartialBColouring
 
 
 # -- writers and structure checks that the package itself never calls ---------
@@ -42,6 +43,20 @@ def check_matching(g: Graph, m: Matching) -> None:
         if u in seen or v in seen:
             raise GraphError(f"matching pair ({u}, {v}) shares a vertex")
         seen.update((u, v))
+
+
+def is_b_precolouring_extension(p: PartialBColouring, c: Colouring) -> bool:
+    """Check the two extension conditions against a full colouring: it must
+    extend the partial colouring as a b-colouring, and no colour class with
+    two or more boundary vertices may contain an uncoloured-boundary vertex."""
+    if c.k != p.m or any(c.colours[v] != col for v, col in p.colours.items()):
+        return False
+    if not is_b_colouring(p.host, c):
+        return False
+    boundary = sum(1 << v for v in p.analysis.boundary)
+    s_rest = boundary & ~sum(1 << v for v in p.s_prime)
+    return not any((members & boundary).bit_count() >= 2 and members & s_rest
+                   for members in c.class_masks().values())
 
 
 def is_linear_forest(g: Graph) -> bool:

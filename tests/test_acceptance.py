@@ -23,12 +23,11 @@ from bchromatic.oracles import (b_chromatic_number, b_colouring_with, chromatic_
                                 fall_spectrum, three_edge_colouring,
                                 tight_b_exact)
 from bchromatic.patterns import Verdict, classify, is_free, pattern_graph
-from bchromatic.tight import (PartialViolation, extend_partial,
-                              is_b_precolouring_extension, solve_tight,
+from bchromatic.tight import (PartialViolation, extend_partial, solve_tight,
                               tight_b_2p2p1_free, validate_partial)
 
 from helpers import (all_graphs, all_graphs_up_to, brute_max_matching_size,
-                     footnote_graph, independent_set_partitions,
+                     footnote_graph, independent_set_partitions, is_b_precolouring_extension,
                      masks_to_colouring, random_graph, sample_in_class_p3p1,
                      sample_tight, sample_tight_in_class)
 
@@ -44,18 +43,21 @@ def test_criterion_1_observation_sweep():
     """chi <= phi <= m and nonempty F => chi <= min F <= max F <= delta+1,
     over all 32768 labeled graphs on 6 vertices; the values of the
     chromatic and b-chromatic oracles, the chromatic witness and the
-    index-order b-colouring ``b_colouring_with(g, phi)`` against a recorded
-    digest.  The b-chromatic witness is checked on its own, and no
-    b-colouring has phi + 1 colours."""
+    index-order b-colouring ``b_colouring_with(g, phi)`` against one
+    recorded digest, and the b-chromatic witness (the first b-colouring
+    along decreasing degree) against a second.  The b-chromatic witness is
+    also checked on its own, and no b-colouring has phi + 1 colours."""
     violations = 0
     count = 0
     digest = hashlib.sha256()
+    witnesses = hashlib.sha256()
     for g in all_graphs(6):
         count += 1
         chi, chi_w = chromatic_number(g)
         phi, phi_w = b_chromatic_number(g)
         first = b_colouring_with(g, phi)
         digest.update(repr((g.adj, chi, chi_w.colours, phi, first.colours)).encode())
+        witnesses.update(repr((phi, phi_w.colours)).encode())
         if not (chi <= phi <= m_degree(g) and phi_w.k == phi and is_b_colouring(g, phi_w)
                 and b_colouring_with(g, phi + 1) is None):
             violations += 1
@@ -69,6 +71,8 @@ def test_criterion_1_observation_sweep():
     assert ok
     assert digest.hexdigest() == ("d6bb6b17046ef9feea66a0206b5ed71b"
                                   "037a6e44f5fabd7c60ec99b9b4d0ba64")
+    assert witnesses.hexdigest() == ("5f25f3e4fb5d53ca16f453c5bf9de528"
+                                     "315533816fe1b15674dd5619557598e7")
 
 
 def _tight_solver_equivalence(pattern, solver, rng):

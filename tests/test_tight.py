@@ -13,13 +13,12 @@ from bchromatic.graphs import (Colouring, Graph, NotTightError, analyze_tight, c
 from bchromatic.oracles import tight_b_exact
 from bchromatic.patterns import p3p1_decomposition, pattern_graph
 from bchromatic.tight import (PartialViolation, PreconditionError,
-                              boundary_forcings, dense_partition,
-                              extend_partial, is_b_precolouring_extension,
-                              solve_tight, tight_b_2p2p1_free,
-                              validate_partial)
+                              boundary_forcings, dense_partition, extend_partial,
+                              solve_tight, tight_b_2p2p1_free, validate_partial)
 
 from helpers import (all_graphs_up_to, check_dense_structure, footnote_graph,
-                     random_clique_union, sample_tight_in_class, random_graph)
+                     is_b_precolouring_extension, random_clique_union,
+                     sample_tight_in_class, random_graph)
 
 P5 = pattern_graph("P5")  # tight, dense {1,2,3}, boundary {0,4}
 
